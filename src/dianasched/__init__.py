@@ -6,8 +6,8 @@ migration, peer discovery) alongside Round Robin and FLOP-greedy
 baselines, on top of a seeded discrete-event engine.
 """
 
-from .baselines import (QueueDiscipline, SchedulerKind, fcfs_order,
-                        flop_schedule, rr_schedule, sjf_order)
+from .baselines import (QueueDiscipline, SchedulerKind, flop_schedule,
+                        rr_schedule, sjf_order)
 from .core import (JobKind, JobSpec, NetworkLink, RateEstimator, SiteState,
                    Topology, UnreachableSiteError, UserProfile,
                    available_bandwidth)
@@ -17,8 +17,8 @@ from .discovery import PeerRegistry
 from .engine import (JobStatus, RunResult, Simulation, generate_workload,
                      run_scenario, workload_hash)
 from .presets import scenario_preset
-from .queueing import (MultilevelQueue, PriorityInputs, QueueConfig,
-                       congestion_ratio, is_congested, priority, threshold)
+from .queueing import (MultilevelQueue, QueueConfig, congestion_ratio,
+                       is_congested, priority)
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .scheduler import (PeerSnapshot, SchedulingDecision, UnschedulableError,
                         classify, migrate_batch, schedule)

@@ -47,8 +47,3 @@ def flop_schedule(job: JobSpec, sites: Sequence) -> str:
 def sjf_order(jobs: Sequence[JobSpec]) -> List[JobSpec]:
     """Ascending by processors required; ties by submit time then job id."""
     return sorted(jobs, key=lambda j: (j.processors_required, j.submit_time, j.job_id))
-
-
-def fcfs_order(jobs: Sequence[JobSpec]) -> List[JobSpec]:
-    """Submission order; ties by job id."""
-    return sorted(jobs, key=lambda j: (j.submit_time, j.job_id))

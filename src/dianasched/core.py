@@ -7,21 +7,13 @@ simulated time throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sized
 
 BYTES_PER_GB = 10**9
 BITS_PER_MBPS = 10**6
 FLOP_PER_MFLOP = 10**6
-
-
-def gb_to_bytes(gb):
-    return gb * BYTES_PER_GB
-
-
-def bytes_to_gb(n):
-    return n / BYTES_PER_GB
 
 
 class JobKind(str, Enum):
@@ -88,7 +80,7 @@ def available_bandwidth(link: NetworkLink) -> float:
 class SiteState:
     """Per-site resource view used by the cost model and the schedulers.
 
-    ``local_queue`` holds jobs already allocated to the local resource
+    ``running`` counts jobs already allocated to the local resource
     manager; ``diana_queue`` is any sized container backing the
     meta-scheduler queue (None for bare sites in unit tests).
     """
@@ -96,7 +88,7 @@ class SiteState:
     site_id: str
     node_count: int
     node_power: float  # MFLOPS per node
-    local_queue: list = field(default_factory=list)
+    running: int = 0
     diana_queue: Optional[Sized] = None
     arrival_rate: float = 0.0  # jobs/s, EWMA estimate
     service_rate: float = 0.0  # jobs/s, EWMA estimate
@@ -111,8 +103,8 @@ class SiteState:
 
     @property
     def backlog(self) -> int:
-        """Jobs waiting at this site: local queue plus meta-scheduler queue."""
-        n = len(self.local_queue)
+        """Jobs at this site: running locally plus meta-scheduler queue."""
+        n = self.running
         if self.diana_queue is not None:
             n += len(self.diana_queue)
         return n
@@ -157,14 +149,14 @@ class Topology:
         return sorted(self.sites)
 
     def link_between(self, a: str, b: str) -> Optional[NetworkLink]:
-        """Link connecting two sites; None when they are the same site."""
+        """Link connecting two sites; None when they are the same site.
+
+        An absent pair gets the default link itself, whose endpoints are
+        placeholders.
+        """
         if a == b:
             return None
-        link = self._links.get((a, b))
+        link = self._links.get((a, b), self.default_link)
         if link is not None:
             return link
-        if self.default_link is not None:
-            return NetworkLink(a, b, self.default_link.bandwidth,
-                               self.default_link.latency,
-                               self.default_link.background_load)
         raise UnreachableSiteError(f"no link between {a} and {b}")

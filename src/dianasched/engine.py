@@ -50,7 +50,6 @@ class JobRecord:
     exec_site: Optional[str] = None
     transfer_total: float = 0.0
     migrations: int = 0
-    allocated_time: Optional[float] = None
 
     @property
     def queue_time(self) -> Optional[float]:
@@ -65,45 +64,10 @@ class JobRecord:
         return self.completed - self.spec.submit_time
 
 
-class FcfsQueue:
-    """Single queue in arrival order (dict insertion order)."""
-
-    def __init__(self):
-        self.jobs: Dict[str, JobSpec] = {}
-
-    def __len__(self):
-        return len(self.jobs)
-
-    def __contains__(self, job_id):
-        return job_id in self.jobs
-
-    def add(self, job: JobSpec):
-        self.jobs[job.job_id] = job
-
-    def remove(self, job_id: str) -> JobSpec:
-        return self.jobs.pop(job_id)
-
-    def ordered(self) -> List[JobSpec]:
-        return list(self.jobs.values())
-
-
-class SjfQueue(FcfsQueue):
-    """Shortest-job-first by processor requirement."""
-
-    def ordered(self) -> List[JobSpec]:
-        return sorted(self.jobs.values(),
-                      key=lambda j: (j.processors_required, j.submit_time, j.job_id))
-
-
 class SiteRuntime:
     def __init__(self, sdef: SiteDef, scenario: Scenario,
                  users: Dict[str, UserProfile], qconfig: QueueConfig):
-        if scenario.queue is QueueDiscipline.PRIORITY_MULTIQUEUE:
-            self.queue = MultilevelQueue(users, qconfig)
-        elif scenario.queue is QueueDiscipline.SJF:
-            self.queue = SjfQueue()
-        else:
-            self.queue = FcfsQueue()
+        self.queue = MultilevelQueue(users, qconfig, scenario.queue)
         self.state = SiteState(site_id=sdef.site_id, node_count=sdef.nodes,
                                node_power=sdef.power, diana_queue=self.queue)
         self.idle_nodes = sdef.nodes
@@ -335,8 +299,7 @@ class Simulation:
             self._terminal(rec, JobStatus.REJECTED_UNSCHEDULABLE)
             return
         if kind is SchedulerKind.ROUND_ROBIN:
-            order = [s.site_id for s in map(lambda d: self.sites[d],
-                                            sorted(self.sites))]
+            order = sorted(self.sites)
             chosen = None
             for _ in range(len(order)):
                 cand, self.rr_cursor = rr_schedule(order, self.rr_cursor)
@@ -388,10 +351,7 @@ class Simulation:
     def _on_arrival(self, rec: JobRecord, dest: str) -> None:
         self._idle_ticks = 0
         site = self.sites[dest]
-        if isinstance(site.queue, MultilevelQueue):
-            site.queue.enqueue(rec.spec)
-        else:
-            site.queue.add(rec.spec)
+        site.queue.enqueue(rec.spec)
         self._try_allocate(site)
 
     def _try_allocate(self, site: SiteRuntime) -> None:
@@ -403,12 +363,11 @@ class Simulation:
                 break  # head-of-line blocking, no backfilling
             site.queue.remove(head.job_id)
             rec = self.jobs[head.job_id]
-            rec.allocated_time = self.now
             rec.started = self.now
             rec.exec_site = site.site_id
             rec.status = JobStatus.RUNNING
             site.idle_nodes -= head.processors_required
-            site.state.local_queue.append(head.job_id)
+            site.state.running += 1
             duration = (head.compute_demand /
                         (site.node_power * head.processors_required)
                         if head.compute_demand else 0.0)
@@ -420,7 +379,7 @@ class Simulation:
         site = self.sites[rec.exec_site]
         rec.completed = self.now
         site.idle_nodes += rec.spec.processors_required
-        site.state.local_queue.remove(rec.spec.job_id)
+        site.state.running -= 1
         site.completions_window += 1
         site.busy_node_seconds += duration * rec.spec.processors_required
         self._terminal(rec, JobStatus.COMPLETED, site=site.site_id)
@@ -454,14 +413,13 @@ class Simulation:
                 continue
             self.messages += 2
             ahead = 0
-            if (reference_priority is not None
-                    and isinstance(peer.queue, MultilevelQueue)):
+            if reference_priority is not None:
                 ahead = peer.queue.jobs_ahead(reference_priority)
             site.snapshots[sid] = PeerSnapshot(
                 site_id=sid, node_count=peer.node_count,
                 node_power=peer.node_power,
                 diana_queue_length=len(peer.queue),
-                local_queue_length=len(peer.state.local_queue),
+                local_queue_length=peer.state.running,
                 service_rate=peer.svc_est.value,
                 snapshot_time=self.now, jobs_ahead=ahead)
         self._trace("poll", site=site.site_id, peers=len(site.snapshots))
@@ -494,9 +452,10 @@ class Simulation:
             self._at(self.now + window, self._on_rate_tick)
 
     def _check_congestion(self, site: SiteRuntime) -> None:
-        if (self.scenario.scheduler is not SchedulerKind.DIANA
-                or not self.scenario.migration_enabled
-                or not isinstance(site.queue, MultilevelQueue)):
+        # Only the priority discipline exports; it implies the diana
+        # scheduler (Scenario.validate).
+        if (self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE
+                or not self.scenario.migration_enabled):
             return
         ratio = congestion_ratio(site.state.arrival_rate,
                                  site.state.service_rate)
@@ -505,7 +464,7 @@ class Simulation:
         cands = site.queue.migration_candidates()
         if not cands:
             return
-        ref_pr = max(site.queue.priorities[c] for c in cands)
+        ref_pr = max(site.queue.priority_of(c) for c in cands)
         self._maybe_poll(site, force=True, reference_priority=ref_pr)
         peers = self._peer_estimates(site)
         if not peers:
@@ -520,7 +479,7 @@ class Simulation:
             return
         self._idle_ticks = 0
         # Selection-time priorities; removals below reprioritize the rest.
-        picked_pr = {jid: site.queue.priorities[jid] for jid in cands}
+        picked_pr = {jid: site.queue.priority_of(jid) for jid in cands}
         for jid in cands:
             pr = picked_pr[jid]
             site.queue.remove(jid)

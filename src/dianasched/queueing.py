@@ -1,54 +1,25 @@
-"""Quota-weighted multi-queue priority management for bulk submissions.
+"""The site queue: quota-weighted priorities, SJF or FCFS.
 
-Every queued job carries a priority in [-1, 1] derived from its owner's
-quota and the aggregate load already queued.  Priorities of *all* jobs
-are recomputed on every arrival and departure (reprioritization), which
-removes any need for aging.
+`MultilevelQueue` is the one queue every site uses, under the scenario's
+`queue` discipline.  Under `priority`, every queued job carries a
+priority in [-1, 1] derived from its owner's quota and the aggregate
+load already queued.  That priority depends only on the job's owner and
+processor count, so it is kept once per (user, processors) class and
+recomputed for every class on each arrival and departure
+(reprioritization), which removes any need for aging.  Under `sjf` the
+queue serves `baselines.sjf_order`, and under `fcfs` the order of
+arrival at the site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .baselines import QueueDiscipline, sjf_order
 from .core import JobSpec, UserProfile
 
 DEFAULT_BAND_BOUNDARIES = (1.0, 0.5, 0.0, -0.5, -1.0)
-
-
-@dataclass(frozen=True)
-class PriorityInputs:
-    """The aggregate counts behind one job's priority.
-
-    n: jobs of this user across all queues, including the new job.
-    t: processors required by the new job.
-    T: processors required by all queued jobs, including t.
-    q: this user's quota.
-    Q: sum of quotas of users with queued jobs (each counted once).
-    L: total jobs across all queues, including the new job.
-    """
-
-    n: int
-    t: int
-    T: int
-    q: float
-    Q: float
-    L: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= self.L:
-            raise ValueError("need 1 <= n <= L")
-        if not 1 <= self.t <= self.T:
-            raise ValueError("need 1 <= t <= T")
-        if not 0 < self.q <= self.Q:
-            raise ValueError("need 0 < q <= Q")
-
-
-def threshold(inputs: PriorityInputs) -> float:
-    """Dynamic per-job threshold N = (q * T) / (Q * t)."""
-    if inputs.t == 0 or inputs.Q == 0:
-        raise ZeroDivisionError("t and Q must be nonzero")
-    return (inputs.q * inputs.T) / (inputs.Q * inputs.t)
 
 
 def priority(n: int, big_n: float) -> float:
@@ -86,20 +57,25 @@ class DuplicateJobError(Exception):
 
 
 class MultilevelQueue:
-    """The per-site meta-scheduler queue with priority bands.
+    """The per-site queue under any of the three disciplines.
 
-    Aggregates (per-user counts, T, Q, L) are maintained incrementally and
-    must always match a from-scratch recomputation; the test suite checks
-    that equivalence after random operation sequences.
+    Under `priority`, every job of a (user, processors) class has the
+    same priority, so one value per class is kept.  The per-user and
+    per-class counts and T are maintained incrementally and must always
+    match a from-scratch recomputation; the test suite checks that
+    equivalence after random operation sequences.
     """
 
     def __init__(self, users: Mapping[str, UserProfile],
-                 config: Optional[QueueConfig] = None):
+                 config: Optional[QueueConfig] = None,
+                 discipline: QueueDiscipline = QueueDiscipline.PRIORITY_MULTIQUEUE):
         self.users = users
         self.config = config or QueueConfig()
-        self.jobs: Dict[str, JobSpec] = {}
-        self.priorities: Dict[str, float] = {}
+        self.discipline = discipline
+        self.jobs: Dict[str, JobSpec] = {}  # in arrival order
         self._user_counts: Dict[str, int] = {}
+        self._class_counts: Dict[Tuple[str, int], int] = {}
+        self._class_priorities: Dict[Tuple[str, int], float] = {}
         self._total_processors = 0
 
     def __len__(self) -> int:
@@ -108,81 +84,74 @@ class MultilevelQueue:
     def __contains__(self, job_id: str) -> bool:
         return job_id in self.jobs
 
-    # -- aggregates ----------------------------------------------------
-
-    @property
-    def total_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def total_processors(self) -> int:
-        return self._total_processors
-
     @property
     def quota_sum(self) -> float:
         return sum(self.users[u].quota for u in self._user_counts)
 
-    def user_count(self, user_id: str) -> int:
-        return self._user_counts.get(user_id, 0)
-
-    def inputs_for(self, job: JobSpec) -> PriorityInputs:
-        return PriorityInputs(
-            n=self._user_counts[job.user_id],
-            t=job.processors_required,
-            T=self._total_processors,
-            q=self.users[job.user_id].quota,
-            Q=self.quota_sum,
-            L=len(self.jobs),
-        )
-
     # -- transitions ---------------------------------------------------
 
-    def enqueue(self, job: JobSpec) -> float:
-        """Add a job, reprioritize everything, return the job's priority."""
+    def enqueue(self, job: JobSpec) -> None:
+        """Add a job and reprioritize."""
         if job.job_id in self.jobs:
             raise DuplicateJobError(job.job_id)
         if job.user_id not in self.users:
             raise KeyError(f"unknown user {job.user_id}")
         self.jobs[job.job_id] = job
-        self._user_counts[job.user_id] = self._user_counts.get(job.user_id, 0) + 1
+        _bump(self._user_counts, job.user_id, 1)
+        _bump(self._class_counts, (job.user_id, job.processors_required), 1)
         self._total_processors += job.processors_required
         self.reprioritize()
-        return self.priorities[job.job_id]
 
     def remove(self, job_id: str) -> JobSpec:
         job = self.jobs.pop(job_id)
-        self._user_counts[job.user_id] -= 1
-        if self._user_counts[job.user_id] == 0:
-            del self._user_counts[job.user_id]
+        _bump(self._user_counts, job.user_id, -1)
+        _bump(self._class_counts, (job.user_id, job.processors_required), -1)
         self._total_processors -= job.processors_required
         self.reprioritize()
         return job
 
     def reprioritize(self) -> None:
-        """Recompute every job's priority from the current aggregates.
+        """Recompute every class's priority from the current aggregates.
 
         Idempotent: priorities are a pure function of the queued multiset
-        and the user profiles.
+        and the user profiles.  A no-op under `fcfs` and `sjf`.
         """
-        self.priorities = {}
-        if not self.jobs:
+        if self.discipline is not QueueDiscipline.PRIORITY_MULTIQUEUE:
             return
         big_q = self.quota_sum
         big_t = self._total_processors
-        for job in self.jobs.values():
-            n = self._user_counts[job.user_id]
-            big_n = (self.users[job.user_id].quota * big_t) / (big_q * job.processors_required)
-            self.priorities[job.job_id] = priority(n, big_n)
+        self._class_priorities = {
+            (user, t): priority(self._user_counts[user],
+                                (self.users[user].quota * big_t) / (big_q * t))
+            for user, t in self._class_counts}
 
     # -- views ---------------------------------------------------------
 
-    def _sort_key(self, job_id: str):
+    def priority_of(self, job_id: str) -> float:
+        """A queued job's priority (priority discipline only)."""
         job = self.jobs[job_id]
-        return (-self.priorities[job_id], job.submit_time, job.job_id)
+        return self._class_priorities[job.user_id, job.processors_required]
+
+    @property
+    def priorities(self) -> Dict[str, float]:
+        """Every queued job's priority, by job id (priority discipline only)."""
+        return {job_id: self.priority_of(job_id) for job_id in self.jobs}
+
+    def _sort_key(self, job: JobSpec):
+        return (-self._class_priorities[job.user_id, job.processors_required],
+                job.submit_time, job.job_id)
 
     def ordered(self) -> List[JobSpec]:
-        """All queued jobs in descending priority order, deterministic."""
-        return [self.jobs[j] for j in sorted(self.jobs, key=self._sort_key)]
+        """All queued jobs in service order, deterministic.
+
+        priority: descending priority, then submit time, then job id;
+        sjf: `sjf_order`; fcfs: order of arrival at this site.
+        """
+        if self.discipline is QueueDiscipline.PRIORITY_MULTIQUEUE:
+            return sorted(self.jobs.values(), key=self._sort_key)
+        if self.discipline is QueueDiscipline.SJF:
+            return sjf_order(self.jobs.values())
+        return list(self.jobs.values())
 
     def bands(self) -> List[List[str]]:
         """Job ids binned into priority bands, each band in queue order.
@@ -193,7 +162,7 @@ class MultilevelQueue:
         bounds = self.config.band_boundaries
         out: List[List[str]] = [[] for _ in range(len(bounds) - 1)]
         for job in self.ordered():
-            p = self.priorities[job.job_id]
+            p = self.priority_of(job.job_id)
             for i in range(len(bounds) - 1):
                 if p > bounds[i + 1] or i == len(bounds) - 2:
                     out[i].append(job.job_id)
@@ -202,7 +171,8 @@ class MultilevelQueue:
 
     def jobs_ahead(self, probe_priority: float) -> int:
         """Queued jobs strictly ahead of a job with the probed priority."""
-        return sum(1 for p in self.priorities.values() if p > probe_priority)
+        return sum(count for cls, count in self._class_counts.items()
+                   if self._class_priorities[cls] > probe_priority)
 
     def migration_candidates(self, batch_size: Optional[int] = None,
                              cutoff: Optional[float] = None) -> List[str]:
@@ -213,9 +183,18 @@ class MultilevelQueue:
             cutoff = self.config.migration_cutoff
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        tail = [j for j in sorted(self.jobs, key=self._sort_key, reverse=True)
-                if self.priorities[j] < cutoff]
+        worst_first = sorted(self.jobs.values(), key=self._sort_key,
+                             reverse=True)
+        tail = [j.job_id for j in worst_first
+                if self.priority_of(j.job_id) < cutoff]
         return tail[:batch_size]
+
+
+def _bump(counts: dict, key, by: int) -> None:
+    """Add `by` to a count, dropping the key when it reaches zero."""
+    counts[key] = counts.get(key, 0) + by
+    if counts[key] == 0:
+        del counts[key]
 
 
 def congestion_ratio(arrival_rate: float, service_rate: float) -> float:

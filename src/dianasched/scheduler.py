@@ -65,7 +65,6 @@ class SchedulingDecision:
     chosen_site: str
     cost: CostBreakdown
     alternatives: List[Tuple[str, float]] = field(default_factory=list)
-    was_migration: bool = False
 
 
 def classify(job: JobSpec, overrides=None) -> CostWeights:

@@ -13,7 +13,7 @@ def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
 def mk_site(site_id="s1", nodes=5, power=1.0, local=None, diana=None,
             arrival=0.0, service=0.0) -> SiteState:
     return SiteState(site_id=site_id, node_count=nodes, node_power=power,
-                     local_queue=local or [], diana_queue=diana,
+                     running=len(local or []), diana_queue=diana,
                      arrival_rate=arrival, service_rate=service)
 
 

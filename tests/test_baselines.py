@@ -5,8 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from dianasched.baselines import (fcfs_order, flop_schedule, rr_schedule,
-                                  sjf_order)
+from dianasched.baselines import flop_schedule, rr_schedule, sjf_order
 from conftest import mk_job
 
 
@@ -81,11 +80,6 @@ class TestQueueOrders:
     def test_sjf_single_job(self):
         jobs = [mk_job(job_id="solo", procs=4)]
         assert sjf_order(jobs) == jobs
-
-    def test_fcfs_by_submit_time(self):
-        jobs = [mk_job(job_id="late", submit=9.0),
-                mk_job(job_id="early", submit=1.0)]
-        assert [j.job_id for j in fcfs_order(jobs)] == ["early", "late"]
 
     def test_sjf_minimizes_mean_wait_exhaustively(self):
         # On a single sequential machine whose service time grows with the

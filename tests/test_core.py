@@ -3,14 +3,8 @@
 import pytest
 
 from dianasched.core import (NetworkLink, RateEstimator, Topology,
-                             UnreachableSiteError, available_bandwidth,
-                             bytes_to_gb, gb_to_bytes)
+                             UnreachableSiteError, available_bandwidth)
 from conftest import mk_job, mk_site
-
-
-def test_unit_conversions_round_trip():
-    assert gb_to_bytes(10) == 10**10
-    assert bytes_to_gb(gb_to_bytes(2.5)) == 2.5
 
 
 class TestJobSpec:
@@ -127,6 +121,12 @@ class TestTopology:
         link = topo.link_between("s1", "s3")
         assert link.bandwidth == 1000.0
         assert link.latency == 0.1
+
+    def test_default_link_is_shared_not_copied(self):
+        default = NetworkLink("*", "*", 1000.0)
+        topo = self._topo(default=default)
+        assert topo.link_between("s1", "s3") is default
+        assert topo.link_between("s3", "s2") is default
 
     def test_unreachable_without_default(self):
         with pytest.raises(UnreachableSiteError):

@@ -8,6 +8,7 @@ from dianasched.engine import (JobStatus, generate_workload, run_scenario,
 from dianasched.scenario import (BurstDef, FaultDef, LinkDef, Scenario,
                                  SiteDef, UserDef)
 from dianasched.core import JobKind
+from test_acceptance import _congestion_scenario
 
 GB = 10**9
 
@@ -86,6 +87,24 @@ class TestTransfers:
     def test_slow_link_staging_takes_8000s(self):
         rec = run_scenario(self._two_site(10.0), seed=1).records()[0]
         assert rec.transfer_total == pytest.approx(8000.0)
+
+    def test_fcfs_is_arrival_order_at_the_site(self):
+        # Job a is submitted before job b, but its input lands 80 s later,
+        # after b has queued behind the long job that holds the site.
+        bursts = [burst(site="c1", demand=2000.0, procs=2, data_site="c1"),
+                  burst(site="c1", demand=2.0, procs=2, data=10 * GB,
+                        data_site="store", kind=JobKind.DATA_INTENSIVE),
+                  burst(time=1.0, site="c1", demand=2.0, procs=2,
+                        data_site="c1")]
+        s = Scenario(queue=QueueDiscipline.FCFS,
+                     sites=[SiteDef("store", 1, 1.0), SiteDef("c1", 2, 1.0)],
+                     default_link=LinkDef("*", "*", 1000.0),
+                     users=[UserDef("u1", 1.0)], bursts=bursts)
+        hold, a, b = run_scenario(s, seed=1).records()
+        assert hold.completed == pytest.approx(1000.0)
+        assert a.spec.submit_time < b.spec.submit_time
+        assert b.started == pytest.approx(1000.0)
+        assert a.started == pytest.approx(1001.0)
 
     def test_colocated_data_starts_immediately(self):
         result = run_scenario(one_site_scenario(
@@ -240,6 +259,19 @@ class TestAllocationIsFinal:
             if e["kind"] == "migrate":
                 assert e["job"] not in allocated_at
         assert any(e["kind"] == "migrate" for e in result.trace)
+
+
+class TestMigrationGate:
+    def test_only_the_priority_queue_exports(self):
+        # The congested scenario of AC3 exports under the priority queue
+        # but never under FCFS, even though the diana scheduler runs both.
+        exported = run_scenario(_congestion_scenario(True), seed=7)
+        assert any(e["kind"] == "migration_pick" for e in exported.trace)
+        fcfs = _congestion_scenario(True)
+        fcfs.queue = QueueDiscipline.FCFS
+        result = run_scenario(fcfs, seed=7)
+        assert not any(e["kind"].startswith("migrat") for e in result.trace)
+        assert all(r.migrations == 0 for r in result.records())
 
 
 class TestSummary:

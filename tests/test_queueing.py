@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dianasched.baselines import QueueDiscipline, sjf_order
 from dianasched.core import UserProfile
 from dianasched.queueing import (DuplicateJobError, MultilevelQueue,
-                                 PriorityInputs, QueueConfig, congestion_ratio,
-                                 is_congested, priority, threshold)
+                                 QueueConfig, congestion_ratio, is_congested,
+                                 priority)
 from conftest import mk_job, mk_users
 
 
@@ -34,25 +35,6 @@ def scratch_priorities(users, jobs):
         pr = (big_n - n) / big_n if n <= big_n else (big_n - n) / n
         out[j.job_id] = pr
     return out
-
-
-class TestThreshold:
-    def test_single_user_single_job(self):
-        assert threshold(PriorityInputs(n=1, t=2, T=2, q=1, Q=1, L=1)) == 1.0
-
-    def test_quota_share_scales_threshold(self):
-        assert threshold(PriorityInputs(n=1, t=2, T=20, q=2, Q=4, L=10)) == pytest.approx(5.0)
-
-    def test_small_quota_fraction(self):
-        assert threshold(PriorityInputs(n=1, t=5, T=10, q=1, Q=10, L=2)) == pytest.approx(0.2)
-
-    def test_inputs_validated(self):
-        with pytest.raises(ValueError):
-            PriorityInputs(n=0, t=1, T=1, q=1, Q=1, L=1)
-        with pytest.raises(ValueError):
-            PriorityInputs(n=1, t=3, T=2, q=1, Q=1, L=1)
-        with pytest.raises(ValueError):
-            PriorityInputs(n=1, t=1, T=1, q=2, Q=1, L=1)
 
 
 class TestPriorityFormula:
@@ -168,44 +150,72 @@ class TestMultilevelQueue:
                 assert jid in q
 
 
-def _probe_queue(priorities):
-    """Queue with directly injected priorities, for the view helpers."""
-    q = MultilevelQueue(mk_users(u1=1.0))
-    for i, p in enumerate(priorities):
-        jid = f"j{i}"
-        q.jobs[jid] = mk_job(job_id=jid, submit=float(i))
-        q.priorities[jid] = p
+def _one_job_per_user(**quotas):
+    """Queue holding one single-processor job per user, in argument order.
+
+    With k such jobs, a user's threshold is N = k * q / Q, so a quota
+    above, at or below Q / k gives a positive, zero or negative priority.
+    """
+    q = MultilevelQueue(mk_users(**quotas))
+    for i, user in enumerate(quotas):
+        q.enqueue(mk_job(job_id=f"j{i}", user=user, submit=float(i)))
     return q
 
 
 class TestQueueViews:
     def test_jobs_ahead_counts_strictly_higher(self):
-        q = _probe_queue([0.4, 0.0, -0.375])
+        q = _one_job_per_user(a=3.0, b=2.0, c=1.0)
+        assert list(q.priorities.values()) == pytest.approx([1 / 3, 0.0, -0.5])
         assert q.jobs_ahead(0.1) == 1
 
     def test_jobs_ahead_probe_below_all(self):
-        q = _probe_queue([0.4, 0.0, -0.375])
+        q = _one_job_per_user(a=3.0, b=2.0, c=1.0)
         assert q.jobs_ahead(-1.0) == 3
 
     def test_jobs_ahead_empty(self):
-        assert _probe_queue([]).jobs_ahead(0.0) == 0
+        assert _one_job_per_user().jobs_ahead(0.0) == 0
 
     def test_migration_candidates_lowest_first(self):
-        q = _probe_queue([0.4, 0.0, -0.375, -0.5])
+        q = _one_job_per_user(a=9.0, b=4.0, c=2.0, d=1.0)
+        assert list(q.priorities.values()) == pytest.approx(
+            [5 / 9, 0.0, -0.5, -0.75])
         assert q.migration_candidates(batch_size=1) == ["j3"]
         assert q.migration_candidates(batch_size=10) == ["j3", "j2"]
 
     def test_no_candidates_when_all_nonnegative(self):
-        q = _probe_queue([0.4, 0.0, 0.2])
+        q = _one_job_per_user(a=1.0, b=1.0, c=1.0)
+        assert list(q.priorities.values()) == [0.0, 0.0, 0.0]
         assert q.migration_candidates(batch_size=5) == []
 
     def test_empty_queue_no_candidates(self):
-        assert _probe_queue([]).migration_candidates() == []
+        assert _one_job_per_user().migration_candidates() == []
 
     def test_candidate_cutoff_is_strict(self):
-        q = _probe_queue([0.0])
+        q = _one_job_per_user(a=1.0)
+        assert q.priorities == {"j0": 0.0}
         assert q.migration_candidates(cutoff=0.0) == []
         assert q.migration_candidates(cutoff=0.1) == ["j0"]
+
+
+class TestDisciplines:
+    def _jobs(self):
+        return [mk_job(job_id="late", procs=3, submit=9.0),
+                mk_job(job_id="wide", procs=5, submit=1.0),
+                mk_job(job_id="early", procs=1, submit=0.0)]
+
+    def test_fcfs_serves_arrival_order(self):
+        q = MultilevelQueue(mk_users(u1=1.0), discipline=QueueDiscipline.FCFS)
+        for job in self._jobs():
+            q.enqueue(job)
+        q.remove("wide")
+        assert [j.job_id for j in q.ordered()] == ["late", "early"]
+
+    def test_sjf_serves_sjf_order(self):
+        q = MultilevelQueue(mk_users(u1=1.0), discipline=QueueDiscipline.SJF)
+        for job in self._jobs():
+            q.enqueue(job)
+        assert q.ordered() == sjf_order(self._jobs())
+        assert [j.job_id for j in q.ordered()] == ["early", "late", "wide"]
 
 
 class TestQueueOracle:
