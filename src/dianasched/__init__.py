@@ -17,8 +17,7 @@ from .discovery import PeerRegistry
 from .engine import (JobStatus, RunResult, Simulation, generate_workload,
                      run_scenario, workload_hash)
 from .presets import scenario_preset
-from .queueing import (MultilevelQueue, QueueConfig, congestion_ratio,
-                       is_congested, priority)
+from .queueing import MultilevelQueue, congestion_ratio, is_congested, priority
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
 from .scheduler import (PeerSnapshot, SchedulingDecision, UnschedulableError,
                         classify, migrate_batch, schedule)

@@ -54,7 +54,7 @@ class UserProfile:
             raise ValueError(f"user {self.user_id}: quota must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkLink:
     from_site: str
     to_site: str

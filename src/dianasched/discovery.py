@@ -26,14 +26,9 @@ class PeerRegistry:
     removal (1 = removed on the first miss).
     """
 
-    def __init__(self, echo_interval: float = 60.0, echo_timeout: float = 5.0,
-                 retries: int = 1):
-        if echo_interval <= 0 or echo_timeout < 0:
-            raise ValueError("echo_interval must be > 0 and echo_timeout >= 0")
+    def __init__(self, retries: int = 1):
         if retries < 1:
             raise ValueError("retries must be >= 1")
-        self.echo_interval = echo_interval
-        self.echo_timeout = echo_timeout
         self.retries = retries
         self._entries: Dict[str, PeerEntry] = {}
 

@@ -16,12 +16,11 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
-from .core import (JobSpec, NetworkLink, RateEstimator, SiteState, Topology,
+from .core import (JobSpec, RateEstimator, SiteState, Topology,
                    UnreachableSiteError, UserProfile)
 from .costs import transfer_cost
 from .discovery import PeerRegistry
-from .queueing import (MultilevelQueue, QueueConfig, congestion_ratio,
-                       is_congested)
+from .queueing import MultilevelQueue, congestion_ratio, is_congested
 from .scenario import Scenario, SiteDef
 from .scheduler import PeerSnapshot, UnschedulableError, migrate_batch, schedule
 
@@ -66,8 +65,8 @@ class JobRecord:
 
 class SiteRuntime:
     def __init__(self, sdef: SiteDef, scenario: Scenario,
-                 users: Dict[str, UserProfile], qconfig: QueueConfig):
-        self.queue = MultilevelQueue(users, qconfig, scenario.queue)
+                 users: Dict[str, UserProfile]):
+        self.queue = MultilevelQueue(users, scenario.queue)
         self.state = SiteState(site_id=sdef.site_id, node_count=sdef.nodes,
                                node_power=sdef.power, diana_queue=self.queue)
         self.idle_nodes = sdef.nodes
@@ -194,27 +193,13 @@ class Simulation:
         self._heap: List[tuple] = []
         self.trace: List[dict] = []
         self.messages = 0
-        self.users = {u.user_id: UserProfile(u.user_id, u.quota)
-                      for u in scenario.users}
-        self.qconfig = QueueConfig(thrs=scenario.thrs,
-                                   band_boundaries=scenario.bands,
-                                   batch_size=scenario.batch_size,
-                                   migration_cutoff=scenario.migration_cutoff)
+        self.users = {u.user_id: u for u in scenario.users}
         self.sites: Dict[str, SiteRuntime] = {}
         for sdef in scenario.resolved_sites():
-            self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users,
-                                                   self.qconfig)
-        default = None
-        if scenario.default_link is not None:
-            d = scenario.default_link
-            default = NetworkLink("*", "*", d.bandwidth, d.latency, d.load)
-        links = [NetworkLink(l.from_site, l.to_site, l.bandwidth, l.latency,
-                             l.load) for l in scenario.links]
+            self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
         self.topology = Topology([s.state for s in self.sites.values()],
-                                 links, default)
-        self.registry = PeerRegistry(scenario.echo_interval,
-                                     scenario.echo_timeout,
-                                     scenario.echo_retries)
+                                 scenario.links, scenario.default_link)
+        self.registry = PeerRegistry(scenario.echo_retries)
         for sid in self.sites:
             self.registry.register(sid, 0.0)
         self.workload = generate_workload(scenario, seed)
@@ -418,8 +403,7 @@ class Simulation:
             site.snapshots[sid] = PeerSnapshot(
                 site_id=sid, node_count=peer.node_count,
                 node_power=peer.node_power,
-                diana_queue_length=len(peer.queue),
-                local_queue_length=peer.state.running,
+                queue_length=len(peer.queue) + peer.state.running,
                 service_rate=peer.svc_est.value,
                 snapshot_time=self.now, jobs_ahead=ahead)
         self._trace("poll", site=site.site_id, peers=len(site.snapshots))
@@ -459,9 +443,10 @@ class Simulation:
             return
         ratio = congestion_ratio(site.state.arrival_rate,
                                  site.state.service_rate)
-        if not is_congested(ratio, self.qconfig) or not len(site.queue):
+        if not is_congested(ratio, self.scenario.thrs) or not len(site.queue):
             return
-        cands = site.queue.migration_candidates()
+        cands = site.queue.migration_candidates(self.scenario.batch_size,
+                                                self.scenario.migration_cutoff)
         if not cands:
             return
         ref_pr = max(site.queue.priority_of(c) for c in cands)

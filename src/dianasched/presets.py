@@ -15,8 +15,8 @@ Workload presets:
 from __future__ import annotations
 
 from .baselines import QueueDiscipline, SchedulerKind
-from .core import JobKind
-from .scenario import BurstDef, LinkDef, Scenario, SiteDef, UserDef
+from .core import JobKind, NetworkLink, UserProfile
+from .scenario import BurstDef, Scenario, SiteDef
 
 PRESET_NAMES = ("P1", "P2", "P3", "P4")
 
@@ -51,8 +51,8 @@ def _p1() -> Scenario:
               for i in range(200)]
     return Scenario(
         sites=five_site_topology(),
-        default_link=LinkDef("*", "*", 1000.0),
-        users=[UserDef("u1", 10.0)],
+        default_link=NetworkLink("*", "*", 1000.0),
+        users=[UserProfile("u1", 10.0)],
         bursts=bursts,
         poll_interval=5.0,
     )
@@ -72,8 +72,8 @@ def _p2() -> Scenario:
     return Scenario(
         # One site, so runs differ only in how the queue orders the jobs.
         sites=[SiteDef("siteA", 40, 1.0)],
-        default_link=LinkDef("*", "*", 1000.0),
-        users=[UserDef("u1", 4.0)],
+        default_link=NetworkLink("*", "*", 1000.0),
+        users=[UserProfile("u1", 4.0)],
         bursts=bursts,
         thrs=1.0,  # keep migration out of the discipline comparison
     )
@@ -90,8 +90,8 @@ def _p3() -> Scenario:
                        data_site="store1", kind=JobKind.DATA_INTENSIVE)]
     return Scenario(
         sites=sites,
-        default_link=LinkDef("*", "*", 1000.0),
-        users=[UserDef("u1", 5.0)],
+        default_link=NetworkLink("*", "*", 1000.0),
+        users=[UserProfile("u1", 5.0)],
         bursts=bursts,
         thrs=1.0,
     )
@@ -103,8 +103,8 @@ def _p4() -> Scenario:
     scenario = Scenario(
         site_template=SiteDef("site", 5, 1.0),
         site_count=5,
-        default_link=LinkDef("*", "*", 1000.0),
-        users=[UserDef("u1", 20.0)],
+        default_link=NetworkLink("*", "*", 1000.0),
+        users=[UserProfile("u1", 20.0)],
     )
     scenario.bursts = [
         BurstDef(time=1.0 * i, user="u1", site="site001", count=1,

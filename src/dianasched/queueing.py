@@ -13,13 +13,10 @@ arrival at the site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .baselines import QueueDiscipline, sjf_order
 from .core import JobSpec, UserProfile
-
-DEFAULT_BAND_BOUNDARIES = (1.0, 0.5, 0.0, -0.5, -1.0)
 
 
 def priority(n: int, big_n: float) -> float:
@@ -31,25 +28,6 @@ def priority(n: int, big_n: float) -> float:
     if n <= big_n:
         return (big_n - n) / big_n
     return (big_n - n) / n
-
-
-@dataclass
-class QueueConfig:
-    thrs: float = 0.3  # congestion threshold, administrator-configurable
-    band_boundaries: Tuple[float, ...] = DEFAULT_BAND_BOUNDARIES
-    batch_size: int = 10
-    migration_cutoff: float = 0.0  # only jobs with priority < cutoff migrate
-
-    def __post_init__(self):
-        if not 0 <= self.thrs <= 1:
-            raise ValueError("thrs must be in [0, 1]")
-        b = self.band_boundaries
-        if len(b) < 2 or any(b[i] <= b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError("band_boundaries must be strictly descending")
-        if b[0] > 1 or b[-1] < -1:
-            raise ValueError("band_boundaries must lie within [-1, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 class DuplicateJobError(Exception):
@@ -67,10 +45,8 @@ class MultilevelQueue:
     """
 
     def __init__(self, users: Mapping[str, UserProfile],
-                 config: Optional[QueueConfig] = None,
                  discipline: QueueDiscipline = QueueDiscipline.PRIORITY_MULTIQUEUE):
         self.users = users
-        self.config = config or QueueConfig()
         self.discipline = discipline
         self.jobs: Dict[str, JobSpec] = {}  # in arrival order
         self._user_counts: Dict[str, int] = {}
@@ -153,36 +129,13 @@ class MultilevelQueue:
             return sjf_order(self.jobs.values())
         return list(self.jobs.values())
 
-    def bands(self) -> List[List[str]]:
-        """Job ids binned into priority bands, each band in queue order.
-
-        Band i covers (boundaries[i+1], boundaries[i]]; the last band is
-        closed at -1.
-        """
-        bounds = self.config.band_boundaries
-        out: List[List[str]] = [[] for _ in range(len(bounds) - 1)]
-        for job in self.ordered():
-            p = self.priority_of(job.job_id)
-            for i in range(len(bounds) - 1):
-                if p > bounds[i + 1] or i == len(bounds) - 2:
-                    out[i].append(job.job_id)
-                    break
-        return out
-
     def jobs_ahead(self, probe_priority: float) -> int:
         """Queued jobs strictly ahead of a job with the probed priority."""
         return sum(count for cls, count in self._class_counts.items()
                    if self._class_priorities[cls] > probe_priority)
 
-    def migration_candidates(self, batch_size: Optional[int] = None,
-                             cutoff: Optional[float] = None) -> List[str]:
+    def migration_candidates(self, batch_size: int, cutoff: float) -> List[str]:
         """Lowest-priority job ids below the migration cutoff, worst first."""
-        if batch_size is None:
-            batch_size = self.config.batch_size
-        if cutoff is None:
-            cutoff = self.config.migration_cutoff
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         worst_first = sorted(self.jobs.values(), key=self._sort_key,
                              reverse=True)
         tail = [j.job_id for j in worst_first
@@ -204,5 +157,5 @@ def congestion_ratio(arrival_rate: float, service_rate: float) -> float:
     return (arrival_rate - service_rate) / arrival_rate
 
 
-def is_congested(ratio: float, config: QueueConfig) -> bool:
-    return ratio > config.thrs
+def is_congested(ratio: float, thrs: float) -> bool:
+    return ratio > thrs

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import os
 from typing import Dict, List, Optional, Sequence
 
 from .baselines import QueueDiscipline, SchedulerKind
 from .engine import RunResult, run_scenario
-from .scenario import LinkDef, Scenario
+from .scenario import Scenario
 
 JOBS_COLUMNS = ["job_id", "user", "site", "submit", "scheduled", "started",
                 "completed", "queue_time", "exec_time", "migrations", "status"]
@@ -106,10 +107,8 @@ def apply_axis(scenario: Scenario, axis: str, value: str) -> Scenario:
     if axis == "bandwidth":
         bw = float(value)
         if out.default_link is not None:
-            d = out.default_link
-            out.default_link = LinkDef(d.from_site, d.to_site, bw, d.latency, d.load)
-        out.links = [LinkDef(l.from_site, l.to_site, bw, l.latency, l.load)
-                     for l in out.links]
+            out.default_link = dataclasses.replace(out.default_link, bandwidth=bw)
+        out.links = [dataclasses.replace(l, bandwidth=bw) for l in out.links]
     elif axis == "sites":
         if out.site_template is None:
             raise ValueError("sites axis needs a site_template in the scenario")

@@ -8,13 +8,12 @@ error names the offending line and field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .baselines import QueueDiscipline, SchedulerKind
-from .core import JobKind
+from .core import JobKind, NetworkLink, UserProfile
 from .costs import CostWeights
-from .queueing import DEFAULT_BAND_BOUNDARIES
 
 DemandSpec = Union[float, Tuple[float, float]]  # point value or uniform range
 
@@ -28,21 +27,6 @@ class SiteDef:
     site_id: str
     nodes: int
     power: float
-
-
-@dataclass(frozen=True)
-class LinkDef:
-    from_site: str
-    to_site: str
-    bandwidth: float
-    latency: float = 0.0
-    load: float = 0.0
-
-
-@dataclass(frozen=True)
-class UserDef:
-    user_id: str
-    quota: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +54,9 @@ class FaultDef:
 class Scenario:
     scheduler: SchedulerKind = SchedulerKind.DIANA
     queue: QueueDiscipline = QueueDiscipline.PRIORITY_MULTIQUEUE
-    thrs: float = 0.3
-    bands: Tuple[float, ...] = DEFAULT_BAND_BOUNDARIES
+    thrs: float = 0.3  # congestion threshold, administrator-configurable
     batch_size: int = 10
-    migration_cutoff: float = 0.0
+    migration_cutoff: float = 0.0  # only jobs with priority < cutoff migrate
     migration_enabled: bool = True
     poll_interval: float = 30.0
     echo_interval: float = 60.0
@@ -87,9 +70,9 @@ class Scenario:
     sites: List[SiteDef] = field(default_factory=list)
     site_template: Optional[SiteDef] = None  # site_id is a name prefix
     site_count: int = 0
-    default_link: Optional[LinkDef] = None
-    links: List[LinkDef] = field(default_factory=list)
-    users: List[UserDef] = field(default_factory=list)
+    default_link: Optional[NetworkLink] = None
+    links: List[NetworkLink] = field(default_factory=list)
+    users: List[UserProfile] = field(default_factory=list)
     bursts: List[BurstDef] = field(default_factory=list)
     faults: List[FaultDef] = field(default_factory=list)
 
@@ -120,6 +103,8 @@ class Scenario:
                 raise ScenarioError(f"{name} must be > 0, got {value}")
         if self.echo_timeout < 0:
             raise ScenarioError("echo_timeout must be >= 0")
+        if self.echo_retries < 1:
+            raise ScenarioError("echo_retries must be >= 1")
         if self.batch_size < 1:
             raise ScenarioError("batch_size must be >= 1")
         if (self.queue is QueueDiscipline.PRIORITY_MULTIQUEUE
@@ -151,13 +136,21 @@ class Scenario:
                 raise ScenarioError(f"unknown fault action {f.action!r}")
 
 
+def _parse_bool(text: str) -> bool:
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean (true/1/yes or false/0/no)")
+
+
 _SCALAR_KEYS = {
     "scheduler": lambda v: SchedulerKind(v),
     "queue": lambda v: QueueDiscipline(v),
     "thrs": float,
     "batch_size": int,
     "migration_cutoff": float,
-    "migration_enabled": lambda v: v in ("1", "true", "yes"),
+    "migration_enabled": _parse_bool,
     "poll_interval": float,
     "echo_interval": float,
     "echo_timeout": float,
@@ -218,8 +211,6 @@ def parse_scenario(text: str) -> Scenario:
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: preset takes one name")
                 scenario = scenario_preset(args[0])
-            elif key == "bands":
-                scenario.bands = tuple(float(a) for a in args)
             elif key == "weights":
                 if len(args) != 4:
                     raise ScenarioError(f"line {lineno}: weights takes kind wc wd wn")
@@ -234,17 +225,19 @@ def parse_scenario(text: str) -> Scenario:
                                                  float(kv["power"]))
             elif key == "default_link":
                 kv = _parse_kv(args, ["bandwidth"], lineno, {"latency": "0", "load": "0"})
-                scenario.default_link = LinkDef("*", "*", float(kv["bandwidth"]),
-                                                float(kv["latency"]), float(kv["load"]))
+                scenario.default_link = NetworkLink(
+                    "*", "*", float(kv["bandwidth"]), float(kv["latency"]),
+                    float(kv["load"]))
             elif key == "link":
                 if len(args) < 3:
                     raise ScenarioError(f"line {lineno}: link takes two sites plus fields")
                 kv = _parse_kv(args[2:], ["bandwidth"], lineno, {"latency": "0", "load": "0"})
-                scenario.links.append(LinkDef(args[0], args[1], float(kv["bandwidth"]),
-                                              float(kv["latency"]), float(kv["load"])))
+                scenario.links.append(NetworkLink(
+                    args[0], args[1], float(kv["bandwidth"]), float(kv["latency"]),
+                    float(kv["load"])))
             elif key == "user":
                 kv = _parse_kv(args[1:], ["quota"], lineno)
-                scenario.users.append(UserDef(args[0], float(kv["quota"])))
+                scenario.users.append(UserProfile(args[0], float(kv["quota"])))
             elif key == "burst":
                 kv = _parse_kv(args, ["time", "user", "site", "count", "demand",
                                       "procs", "data_site"],
@@ -256,7 +249,7 @@ def parse_scenario(text: str) -> Scenario:
                     demand=_parse_demand(kv["demand"], lineno),
                     procs=int(kv["procs"]), data=float(kv["data"]),
                     data_site=kv["data_site"], kind=JobKind(kv["kind"]),
-                    per_site=kv["per_site"] in ("1", "true", "yes")))
+                    per_site=_parse_bool(kv["per_site"])))
             elif key == "fault":
                 if len(args) != 3:
                     raise ScenarioError(f"line {lineno}: fault takes action site time")
@@ -286,7 +279,6 @@ def serialize_scenario(s: Scenario) -> str:
     lines.append(f"batch_size {s.batch_size}")
     lines.append(f"echo_retries {s.echo_retries}")
     lines.append(f"migration_enabled {'true' if s.migration_enabled else 'false'}")
-    lines.append("bands " + " ".join(_fmt(b) for b in s.bands))
     for kind in JobKind:
         if kind in s.weights:
             w = s.weights[kind]
@@ -300,11 +292,11 @@ def serialize_scenario(s: Scenario) -> str:
     if s.default_link is not None:
         d = s.default_link
         lines.append(f"default_link bandwidth={_fmt(d.bandwidth)} "
-                     f"latency={_fmt(d.latency)} load={_fmt(d.load)}")
+                     f"latency={_fmt(d.latency)} load={_fmt(d.background_load)}")
     for link in s.links:
         lines.append(f"link {link.from_site} {link.to_site} "
                      f"bandwidth={_fmt(link.bandwidth)} latency={_fmt(link.latency)} "
-                     f"load={_fmt(link.load)}")
+                     f"load={_fmt(link.background_load)}")
     for user in s.users:
         lines.append(f"user {user.user_id} quota={_fmt(user.quota)}")
     for b in s.bursts:

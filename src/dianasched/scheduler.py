@@ -27,16 +27,11 @@ class PeerSnapshot:
     site_id: str
     node_count: int
     node_power: float
-    diana_queue_length: float
-    local_queue_length: float
+    queue_length: float  # queued plus running jobs, aged by as_of
     service_rate: float
     snapshot_time: float
     jobs_ahead: int = 0  # relative to the probing reference priority
     sent_since: int = 0  # local bookkeeping: jobs routed there after the poll
-
-    @property
-    def queue_length(self) -> int:
-        return self.diana_queue_length + self.local_queue_length
 
     @property
     def backlog(self):
@@ -53,8 +48,8 @@ class PeerSnapshot:
         projected = max(0.0, self.queue_length - served)
         return PeerSnapshot(
             site_id=self.site_id, node_count=self.node_count,
-            node_power=self.node_power, diana_queue_length=projected,
-            local_queue_length=0, service_rate=self.service_rate,
+            node_power=self.node_power, queue_length=projected,
+            service_rate=self.service_rate,
             snapshot_time=self.snapshot_time, jobs_ahead=self.jobs_ahead,
             sent_since=self.sent_since)
 

@@ -14,13 +14,12 @@ import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind, sjf_order
 from dianasched.cli import main
-from dianasched.core import JobKind
+from dianasched.core import JobKind, NetworkLink, UserProfile
 from dianasched.engine import run_scenario
 from dianasched.presets import scenario_preset
 from dianasched.queueing import MultilevelQueue, priority
 from dianasched.report import apply_axis, run_sweep
-from dianasched.scenario import (BurstDef, FaultDef, LinkDef, Scenario,
-                                 SiteDef, UserDef)
+from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
 from conftest import mk_job, mk_users
 from test_queueing import scratch_priorities
 
@@ -112,8 +111,8 @@ def _congestion_scenario(migration_enabled):
                                demand=10.0, procs=1, data=2e9, data_site="s1",
                                kind=JobKind.DATA_INTENSIVE))
     return Scenario(sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 5, 1.0)],
-                    default_link=LinkDef("*", "*", 100.0),
-                    users=[UserDef("alice", 1.0), UserDef("bob", 3.0)],
+                    default_link=NetworkLink("*", "*", 100.0),
+                    users=[UserProfile("alice", 1.0), UserProfile("bob", 3.0)],
                     bursts=bursts, thrs=0.3,
                     migration_enabled=migration_enabled)
 
@@ -240,8 +239,8 @@ def test_ac8_discovery_crash_and_revival():
     scenario = Scenario(
         sites=[SiteDef("s1", 2, 1.0), SiteDef("s2", 2, 1.0),
                SiteDef("s3", 2, 1.0)],
-        default_link=LinkDef("*", "*", 1000.0),
-        users=[UserDef("u1", 1.0)], bursts=bursts, poll_interval=5.0,
+        default_link=NetworkLink("*", "*", 1000.0),
+        users=[UserProfile("u1", 1.0)], bursts=bursts, poll_interval=5.0,
         faults=[FaultDef("crash", "s2", crash_at),
                 FaultDef("register", "s2", revive_at)])
     result = _track(run_scenario(scenario, seed=3))

@@ -5,9 +5,8 @@ import pytest
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.engine import (JobStatus, generate_workload, run_scenario,
                                workload_hash)
-from dianasched.scenario import (BurstDef, FaultDef, LinkDef, Scenario,
-                                 SiteDef, UserDef)
-from dianasched.core import JobKind
+from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
+from dianasched.core import JobKind, NetworkLink, UserProfile
 from test_acceptance import _congestion_scenario
 
 GB = 10**9
@@ -24,8 +23,8 @@ def burst(time=0.0, user="u1", site="s1", count=1, demand=3.0, procs=1,
 def one_site_scenario(bursts, nodes=1, queue=QueueDiscipline.FCFS, **kw):
     return Scenario(scheduler=SchedulerKind.DIANA, queue=queue,
                     sites=[SiteDef("s1", nodes, 1.0)],
-                    default_link=LinkDef("*", "*", 1000.0),
-                    users=[UserDef("u1", 1.0)], bursts=bursts, **kw)
+                    default_link=NetworkLink("*", "*", 1000.0),
+                    users=[UserProfile("u1", 1.0)], bursts=bursts, **kw)
 
 
 class TestBasics:
@@ -72,8 +71,8 @@ class TestTransfers:
         # so staging over the link is unavoidable.
         return Scenario(
             sites=[SiteDef("store", 1, 0.001), SiteDef("c1", 4, 1.0)],
-            default_link=LinkDef("*", "*", bandwidth),
-            users=[UserDef("u1", 1.0)],
+            default_link=NetworkLink("*", "*", bandwidth),
+            users=[UserProfile("u1", 1.0)],
             bursts=[burst(site="c1", demand=5.0, procs=2, data=10 * GB,
                           data_site="store", kind=JobKind.DATA_INTENSIVE)])
 
@@ -98,8 +97,8 @@ class TestTransfers:
                         data_site="c1")]
         s = Scenario(queue=QueueDiscipline.FCFS,
                      sites=[SiteDef("store", 1, 1.0), SiteDef("c1", 2, 1.0)],
-                     default_link=LinkDef("*", "*", 1000.0),
-                     users=[UserDef("u1", 1.0)], bursts=bursts)
+                     default_link=NetworkLink("*", "*", 1000.0),
+                     users=[UserProfile("u1", 1.0)], bursts=bursts)
         hold, a, b = run_scenario(s, seed=1).records()
         assert hold.completed == pytest.approx(1000.0)
         assert a.spec.submit_time < b.spec.submit_time
@@ -137,8 +136,8 @@ class TestWorkloadGeneration:
 
     def test_per_site_burst_scales_with_site_count(self):
         s = Scenario(sites=[SiteDef(f"s{i}", 1, 1.0) for i in range(1, 4)],
-                     default_link=LinkDef("*", "*", 1000.0),
-                     users=[UserDef("u1", 1.0)],
+                     default_link=NetworkLink("*", "*", 1000.0),
+                     users=[UserProfile("u1", 1.0)],
                      bursts=[burst(count=2, per_site=True)])
         assert len(generate_workload(s, 0)) == 6
 
@@ -159,8 +158,8 @@ class TestDeterminism:
                            data_site="s1", kind=JobKind.COMPUTE_INTENSIVE)
                   for i in range(10)]
         return Scenario(sites=[SiteDef("s1", 2, 1.0), SiteDef("s2", 2, 1.0)],
-                        default_link=LinkDef("*", "*", 1000.0),
-                        users=[UserDef("u1", 1.0)], bursts=bursts)
+                        default_link=NetworkLink("*", "*", 1000.0),
+                        users=[UserProfile("u1", 1.0)], bursts=bursts)
 
     def test_same_seed_identical_outcome(self):
         r1 = run_scenario(self._scenario(), seed=7)
@@ -181,8 +180,8 @@ class TestSchedulers:
         bursts = [burst(count=10, demand=4.0)]
         return Scenario(scheduler=scheduler, queue=queue,
                         sites=[SiteDef(f"s{i}", 2, 1.0) for i in range(1, 4)],
-                        default_link=LinkDef("*", "*", 1000.0),
-                        users=[UserDef("u1", 1.0)], bursts=bursts)
+                        default_link=NetworkLink("*", "*", 1000.0),
+                        users=[UserProfile("u1", 1.0)], bursts=bursts)
 
     def test_round_robin_spreads_evenly(self):
         result = run_scenario(self._multi_site(SchedulerKind.ROUND_ROBIN),
@@ -213,8 +212,8 @@ class TestFaults:
             faults.append(FaultDef("register", "s1", revive_at))
         return Scenario(
             sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 1, 1.0)],
-            default_link=LinkDef("*", "*", 1000.0),
-            users=[UserDef("u1", 1.0)],
+            default_link=NetworkLink("*", "*", 1000.0),
+            users=[UserProfile("u1", 1.0)],
             bursts=[burst(time=2.0, demand=3.0)],
             faults=faults)
 
@@ -247,8 +246,8 @@ class TestAllocationIsFinal:
                   for t in range(0, 100, 5)]
         s = Scenario(
             sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 5, 2.0)],
-            default_link=LinkDef("*", "*", 1000.0),
-            users=[UserDef("a", 1.0), UserDef("b", 3.0)],
+            default_link=NetworkLink("*", "*", 1000.0),
+            users=[UserProfile("a", 1.0), UserProfile("b", 3.0)],
             bursts=bursts + [burst(time=0.0, user="b", demand=10.0)],
             thrs=0.1)
         result = run_scenario(s, seed=0)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from dianasched.baselines import QueueDiscipline, sjf_order
 from dianasched.core import UserProfile
 from dianasched.queueing import (DuplicateJobError, MultilevelQueue,
-                                 QueueConfig, congestion_ratio, is_congested,
-                                 priority)
+                                 congestion_ratio, is_congested, priority)
 from conftest import mk_job, mk_users
 
 
@@ -136,19 +135,6 @@ class TestMultilevelQueue:
         assert q.priorities == pytest.approx(
             scratch_priorities(users, list(q.jobs.values())))
 
-    def test_bands_cover_all_jobs_in_order(self):
-        q = MultilevelQueue(mk_users(a=5.0, b=1.0))
-        for i in range(3):
-            q.enqueue(mk_job(job_id=f"a{i}", user="a", submit=float(i)))
-        for i in range(3):
-            q.enqueue(mk_job(job_id=f"b{i}", user="b", submit=float(i)))
-        bands = q.bands()
-        flattened = [j for band in bands for j in band]
-        assert flattened == [j.job_id for j in q.ordered()]
-        for band_ids in bands:
-            for jid in band_ids:
-                assert jid in q
-
 
 def _one_job_per_user(**quotas):
     """Queue holding one single-processor job per user, in argument order.
@@ -179,22 +165,22 @@ class TestQueueViews:
         q = _one_job_per_user(a=9.0, b=4.0, c=2.0, d=1.0)
         assert list(q.priorities.values()) == pytest.approx(
             [5 / 9, 0.0, -0.5, -0.75])
-        assert q.migration_candidates(batch_size=1) == ["j3"]
-        assert q.migration_candidates(batch_size=10) == ["j3", "j2"]
+        assert q.migration_candidates(batch_size=1, cutoff=0.0) == ["j3"]
+        assert q.migration_candidates(batch_size=10, cutoff=0.0) == ["j3", "j2"]
 
     def test_no_candidates_when_all_nonnegative(self):
         q = _one_job_per_user(a=1.0, b=1.0, c=1.0)
         assert list(q.priorities.values()) == [0.0, 0.0, 0.0]
-        assert q.migration_candidates(batch_size=5) == []
+        assert q.migration_candidates(batch_size=5, cutoff=0.0) == []
 
     def test_empty_queue_no_candidates(self):
-        assert _one_job_per_user().migration_candidates() == []
+        assert _one_job_per_user().migration_candidates(10, 0.0) == []
 
     def test_candidate_cutoff_is_strict(self):
         q = _one_job_per_user(a=1.0)
         assert q.priorities == {"j0": 0.0}
-        assert q.migration_candidates(cutoff=0.0) == []
-        assert q.migration_candidates(cutoff=0.1) == ["j0"]
+        assert q.migration_candidates(batch_size=10, cutoff=0.0) == []
+        assert q.migration_candidates(batch_size=10, cutoff=0.1) == ["j0"]
 
 
 class TestDisciplines:
@@ -266,33 +252,20 @@ class TestQueueOracle:
 class TestCongestion:
     def test_balanced_rates_never_congested(self):
         assert congestion_ratio(4.0, 4.0) == 0.0
-        assert not is_congested(0.0, QueueConfig(thrs=0.0))
+        assert not is_congested(0.0, 0.0)
 
     def test_ratio_value(self):
         assert congestion_ratio(10.0, 4.0) == pytest.approx(0.6)
 
     def test_overcapacity_is_negative(self):
         assert congestion_ratio(2.0, 3.0) < 0.0
-        assert not is_congested(congestion_ratio(2.0, 3.0), QueueConfig(thrs=0.0))
+        assert not is_congested(congestion_ratio(2.0, 3.0), 0.0)
 
     def test_idle_site_not_congested(self):
         assert congestion_ratio(0.0, 5.0) == 0.0
 
     def test_threshold_comparison_is_strict(self):
-        assert is_congested(0.6, QueueConfig(thrs=0.5))
-        assert not is_congested(0.5, QueueConfig(thrs=0.5))
-        assert not is_congested(-0.2, QueueConfig(thrs=0.0))
+        assert is_congested(0.6, 0.5)
+        assert not is_congested(0.5, 0.5)
+        assert not is_congested(-0.2, 0.0)
 
-
-class TestQueueConfig:
-    def test_thrs_bounds(self):
-        with pytest.raises(ValueError, match="thrs"):
-            QueueConfig(thrs=1.5)
-
-    def test_bands_must_descend(self):
-        with pytest.raises(ValueError, match="band"):
-            QueueConfig(band_boundaries=(0.0, 0.5, 1.0))
-
-    def test_batch_size_positive(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            QueueConfig(batch_size=0)

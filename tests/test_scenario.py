@@ -1,12 +1,17 @@
 """Scenario parsing, validation and canonical serialization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
 from dianasched.presets import PRESET_NAMES, scenario_preset
-from dianasched.scenario import (Scenario, ScenarioError, parse_scenario,
-                                 serialize_scenario)
+from dianasched.scenario import (_SCALAR_KEYS, Scenario, ScenarioError,
+                                 parse_scenario, serialize_scenario)
+
+FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
 
 MINIMAL = """
 site s1 nodes=2 power=1.0
@@ -75,6 +80,35 @@ class TestParsing:
         assert len(s.bursts) == 200
         assert s.sites[0].site_id == "site1"
 
+    def test_links_and_users_are_core_types(self):
+        s = parse_scenario("default_link bandwidth=100 latency=0.5 load=0.25\n"
+                           "site s2 nodes=1 power=1\n"
+                           "link s1 s2 bandwidth=10\n" + MINIMAL)
+        assert s.default_link.background_load == 0.25
+        assert s.links[0].bandwidth == 10.0
+        assert s.users[0].user_id == "alice"
+
+
+class TestBooleans:
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("1", True), ("yes", True),
+        ("false", False), ("0", False), ("no", False)])
+    def test_accepted_spellings(self, text, value):
+        s = parse_scenario(f"migration_enabled {text}\n"
+                           + MINIMAL.replace("data_site=s1",
+                                             f"data_site=s1 per_site={text}"))
+        assert s.migration_enabled is value
+        assert s.bursts[0].per_site is value
+
+    def test_migration_enabled_typo_rejected(self):
+        with pytest.raises(ScenarioError, match=r"line 1: .*'flase'"):
+            parse_scenario("migration_enabled flase\n" + MINIMAL)
+
+    def test_per_site_typo_rejected(self):
+        with pytest.raises(ScenarioError, match=r"line 4: .*'ture'"):
+            parse_scenario(MINIMAL.replace("data_site=s1",
+                                           "data_site=s1 per_site=ture"))
+
 
 class TestValidation:
     def test_thrs_out_of_bounds_names_field_and_interval(self):
@@ -105,6 +139,21 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="fault action"):
             parse_scenario(MINIMAL + "fault explode s1 10\n")
 
+    @pytest.mark.parametrize("line", ["thrs 1.5", "thrs -0.1", "batch_size 0",
+                                      "echo_interval 0", "echo_timeout -1",
+                                      "echo_retries 0"])
+    def test_setting_out_of_range(self, line):
+        with pytest.raises(ScenarioError, match=line.split()[0]):
+            parse_scenario(line + "\n" + MINIMAL)
+
+    @pytest.mark.parametrize("line,field", [
+        ("link s1 s2 bandwidth=0", "bandwidth"),
+        ("default_link bandwidth=100 load=1.5", "load"),
+        ("user v quota=-1", "quota")])
+    def test_link_and_user_values_checked_at_parse_time(self, line, field):
+        with pytest.raises(ScenarioError, match=f"line 2: .*{field}"):
+            parse_scenario("site s2 nodes=1 power=1\n" + line + "\n" + MINIMAL)
+
 
 class TestSerialization:
     def test_minimal_round_trip(self):
@@ -134,3 +183,13 @@ class TestPresets:
         assert [(s.site_id, s.nodes) for s in sites] == \
             [("site1", 4), ("site2", 5), ("site3", 5), ("site4", 5), ("site5", 5)]
         assert all(s.power == 1.0 for s in sites)
+
+
+class TestDocs:
+    def test_scalar_settings_table_lists_every_scalar_key(self):
+        # site_count is documented under Sites, next to site_template.
+        section = FORMAT_DOC.read_text().split("## Scalar settings", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(_SCALAR_KEYS) - {"site_count"}

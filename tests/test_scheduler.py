@@ -12,12 +12,11 @@ from conftest import mk_job, mk_site
 GB = 10**9
 
 
-def snap(site_id, nodes=5, power=1.0, diana=0, local=0, service=0.0,
-         time=0.0, ahead=0):
+def snap(site_id, nodes=5, power=1.0, queue=0, service=0.0, time=0.0,
+         ahead=0):
     return PeerSnapshot(site_id=site_id, node_count=nodes, node_power=power,
-                        diana_queue_length=diana, local_queue_length=local,
-                        service_rate=service, snapshot_time=time,
-                        jobs_ahead=ahead)
+                        queue_length=queue, service_rate=service,
+                        snapshot_time=time, jobs_ahead=ahead)
 
 
 class TestClassify:
@@ -89,8 +88,8 @@ class TestSchedule:
         job = mk_job(demand=0.0, data_site="home", kind=JobKind.COMPUTE_INTENSIVE)
         local = mk_site("home", local=["x", "y"], service=1.0)
         # Identical totals; peer b has the shorter queue.
-        peer_a = snap("a", diana=2, service=1.0)
-        peer_b = snap("b", diana=1, service=1.0)
+        peer_a = snap("a", queue=2, service=1.0)
+        peer_b = snap("b", queue=1, service=1.0)
         with_weights = CostWeights(1, 0, 0)
         decision = schedule(job, local, [peer_a, peer_b], topo,
                             weights=with_weights)
@@ -105,20 +104,20 @@ class TestSchedule:
 
 class TestSnapshotAging:
     def test_queue_decays_with_service_rate(self):
-        s = snap("a", diana=10, service=0.5, time=0.0)
+        s = snap("a", queue=10, service=0.5, time=0.0)
         aged = s.as_of(10.0)
         assert aged.queue_length == pytest.approx(5.0)
 
     def test_queue_never_negative(self):
-        s = snap("a", diana=3, service=2.0, time=0.0)
+        s = snap("a", queue=3, service=2.0, time=0.0)
         assert s.as_of(100.0).queue_length == 0.0
 
     def test_zero_elapsed_is_identity(self):
-        s = snap("a", diana=4, local=2, service=1.0, time=5.0)
+        s = snap("a", queue=6, service=1.0, time=5.0)
         assert s.as_of(5.0).queue_length == pytest.approx(6.0)
 
     def test_sent_since_survives_aging(self):
-        s = snap("a", diana=10, service=1.0, time=0.0)
+        s = snap("a", queue=10, service=1.0, time=0.0)
         s.sent_since = 3
         assert s.as_of(4.0).backlog == pytest.approx(6.0 + 3)
 
@@ -134,37 +133,37 @@ class TestMigrateBatch:
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
         local = mk_site("home", local=list("0123456789"), service=0.1)
-        peer_a = snap("a", power=2.0, diana=2, service=1.0)
-        peer_b = snap("b", power=1.0, diana=2, service=1.0)
+        peer_a = snap("a", power=2.0, queue=2, service=1.0)
+        peer_b = snap("b", power=1.0, queue=2, service=1.0)
         assert migrate_batch(batch, local, 0, [peer_a, peer_b], topo) == "a"
 
     def test_stays_local_when_no_peer_strictly_better(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
         local = mk_site("home", service=1.0)
-        worse = snap("a", power=0.5, diana=8, service=1.0)
+        worse = snap("a", power=0.5, queue=8, service=1.0)
         assert migrate_batch(batch, local, 0, [worse], topo) is None
 
     def test_better_queue_but_worse_cost_stays_local(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
         local = mk_site("home", local=["x", "y"], service=1.0)
-        slow = snap("a", power=0.01, diana=0, service=1.0)
+        slow = snap("a", power=0.01, queue=0, service=1.0)
         assert migrate_batch(batch, local, 2, [slow], topo) is None
 
     def test_exact_tie_goes_to_lexically_smaller_peer(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
         local = mk_site("home", local=list("0123456789"), service=0.1)
-        twin_a = snap("a", power=2.0, diana=1, service=1.0)
-        twin_b = snap("b", power=2.0, diana=1, service=1.0)
+        twin_a = snap("a", power=2.0, queue=1, service=1.0)
+        twin_b = snap("b", power=2.0, queue=1, service=1.0)
         assert migrate_batch(batch, local, 0, [twin_b, twin_a], topo) == "a"
 
     def test_undersized_peers_never_win(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, procs=4, data_site="home")]
         local = mk_site("home", nodes=4, local=list("0123456789"), service=0.1)
-        tiny = snap("a", nodes=2, power=100.0, diana=0, service=10.0)
+        tiny = snap("a", nodes=2, power=100.0, queue=0, service=10.0)
         assert migrate_batch(batch, local, 0, [tiny], topo) is None
 
     def test_empty_batch_rejected(self):
