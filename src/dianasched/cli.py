@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import run_scenario
+from .engine import SimulationError, run_scenario
 from .report import (SWEEP_AXES, CompareError, compare, read_csv, run_sweep,
                      write_run)
 from .scenario import ScenarioError, parse_scenario
@@ -66,7 +66,8 @@ def main(argv=None) -> int:
             for path in args.summaries:
                 rows.extend(read_csv(path))
             print(compare(rows), end="")
-    except (ScenarioError, CompareError, ValueError, OSError) as exc:
+    except (ScenarioError, SimulationError, CompareError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

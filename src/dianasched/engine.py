@@ -30,6 +30,10 @@ from .scheduler import PeerSnapshot, UnschedulableError, migrate_batch, schedule
 MAX_IDLE_TICKS = 2000
 
 
+class SimulationError(RuntimeError):
+    """An engine invariant does not hold; the run cannot continue."""
+
+
 class JobStatus(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
@@ -214,7 +218,9 @@ class Simulation:
     # -- event machinery ----------------------------------------------
 
     def _at(self, time: float, fn, *args) -> None:
-        assert time >= self.now - 1e-12, "event scheduled in the past"
+        if not time >= self.now - 1e-12:  # also rejects NaN
+            raise SimulationError(
+                f"event scheduled in the past: {time!r} < now {self.now!r}")
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))
 
@@ -243,7 +249,9 @@ class Simulation:
             time, _, fn, args = heapq.heappop(self._heap)
             if cap > 0 and time > cap:
                 break
-            assert time >= self.now - 1e-12
+            if not time >= self.now - 1e-12:
+                raise SimulationError(
+                    f"event at {time!r} popped after now {self.now!r}")
             self.now = max(self.now, time)
             fn(*args)
         util = {}
@@ -291,7 +299,9 @@ class Simulation:
                 if job.processors_required <= self.sites[cand].node_count:
                     chosen = cand
                     break
-            assert chosen is not None
+            if chosen is None:
+                raise SimulationError(
+                    f"round robin found no site for job {job.job_id}")
         elif kind is SchedulerKind.FLOP_GREEDY:
             # Polls every site for its current idle capacity, every job.
             self.messages += 2 * len(self.sites)
@@ -343,7 +353,7 @@ class Simulation:
         if site.crashed:
             return
         while len(site.queue):
-            head = site.queue.ordered()[0]
+            head = site.queue.ordered(1)[0]
             if head.processors_required > site.idle_nodes:
                 break  # head-of-line blocking, no backfilling
             site.queue.remove(head.job_id)

@@ -7,15 +7,31 @@ load already queued.  That priority depends only on the job's owner and
 processor count, so it is kept once per (user, processors) class and
 recomputed for every class on each arrival and departure
 (reprioritization), which removes any need for aging.  Under `sjf` the
-queue serves `baselines.sjf_order`, and under `fcfs` the order of
-arrival at the site.
+queue serves the order of `baselines.sjf_order`, and under `fcfs` the
+order of arrival at the site.
+
+Each class keeps its jobs in one list sorted by (submit time, job id).
+All jobs of a class share one rank: minus the class priority under
+`priority`, the processor count under `sjf`.  Service order is the merge
+of the class lists by (rank, submit time, job id), so no operation sorts
+the queue.  With C classes and n queued jobs:
+
+- `enqueue`, `remove`: a binary search and a list shift in one class,
+  plus the O(C) reprioritization;
+- `ordered(1)`, the head: O(C); `ordered()`: O(n log C);
+- `migration_candidates`: O(C + batch), from the class tails;
+- `jobs_ahead`: O(C), a sum of class sizes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+import heapq
+from bisect import bisect_left, insort
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .baselines import QueueDiscipline, sjf_order
+from .baselines import QueueDiscipline
 from .core import JobSpec, UserProfile
 
 
@@ -38,10 +54,11 @@ class MultilevelQueue:
     """The per-site queue under any of the three disciplines.
 
     Under `priority`, every job of a (user, processors) class has the
-    same priority, so one value per class is kept.  The per-user and
-    per-class counts and T are maintained incrementally and must always
+    same priority, so one value per class is kept.  The per-user counts,
+    the class lists and T are maintained incrementally and must always
     match a from-scratch recomputation; the test suite checks that
-    equivalence after random operation sequences.
+    equivalence, and the service order against a full sort, after random
+    operation sequences.
     """
 
     def __init__(self, users: Mapping[str, UserProfile],
@@ -50,7 +67,8 @@ class MultilevelQueue:
         self.discipline = discipline
         self.jobs: Dict[str, JobSpec] = {}  # in arrival order
         self._user_counts: Dict[str, int] = {}
-        self._class_counts: Dict[Tuple[str, int], int] = {}
+        # (user, processors) -> its jobs by (submit_time, job_id)
+        self._classes: Dict[Tuple[str, int], List[JobSpec]] = {}
         self._class_priorities: Dict[Tuple[str, int], float] = {}
         self._total_processors = 0
 
@@ -74,14 +92,22 @@ class MultilevelQueue:
             raise KeyError(f"unknown user {job.user_id}")
         self.jobs[job.job_id] = job
         _bump(self._user_counts, job.user_id, 1)
-        _bump(self._class_counts, (job.user_id, job.processors_required), 1)
+        # Inserted in place: transfers and migrations deliver jobs out of
+        # submit order.
+        insort(self._classes.setdefault(_class_of(job), []), job,
+               key=_submit_order)
         self._total_processors += job.processors_required
         self.reprioritize()
 
     def remove(self, job_id: str) -> JobSpec:
         job = self.jobs.pop(job_id)
         _bump(self._user_counts, job.user_id, -1)
-        _bump(self._class_counts, (job.user_id, job.processors_required), -1)
+        cls = _class_of(job)
+        members = self._classes[cls]
+        del members[bisect_left(members, _submit_order(job),
+                                key=_submit_order)]
+        if not members:
+            del self._classes[cls]
         self._total_processors -= job.processors_required
         self.reprioritize()
         return job
@@ -99,48 +125,64 @@ class MultilevelQueue:
         self._class_priorities = {
             (user, t): priority(self._user_counts[user],
                                 (self.users[user].quota * big_t) / (big_q * t))
-            for user, t in self._class_counts}
+            for user, t in self._classes}
 
     # -- views ---------------------------------------------------------
 
     def priority_of(self, job_id: str) -> float:
         """A queued job's priority (priority discipline only)."""
-        job = self.jobs[job_id]
-        return self._class_priorities[job.user_id, job.processors_required]
+        return self._class_priorities[_class_of(self.jobs[job_id])]
 
     @property
     def priorities(self) -> Dict[str, float]:
         """Every queued job's priority, by job id (priority discipline only)."""
         return {job_id: self.priority_of(job_id) for job_id in self.jobs}
 
-    def _sort_key(self, job: JobSpec):
-        return (-self._class_priorities[job.user_id, job.processors_required],
-                job.submit_time, job.job_id)
-
-    def ordered(self) -> List[JobSpec]:
-        """All queued jobs in service order, deterministic.
+    def ordered(self, limit: Optional[int] = None) -> List[JobSpec]:
+        """The first `limit` queued jobs in service order (all by default).
 
         priority: descending priority, then submit time, then job id;
-        sjf: `sjf_order`; fcfs: order of arrival at this site.
+        sjf: the order of `sjf_order`; fcfs: order of arrival at this site.
         """
-        if self.discipline is QueueDiscipline.PRIORITY_MULTIQUEUE:
-            return sorted(self.jobs.values(), key=self._sort_key)
+        if self.discipline is QueueDiscipline.FCFS:
+            return list(islice(self.jobs.values(), limit))
+        # Lists, not generators: `merge(*generator)` sizes its argument
+        # tuple by resizing, which bypasses the tuple free lists and
+        # leaves them fuller, raising the heap peak of a long run.
         if self.discipline is QueueDiscipline.SJF:
-            return sjf_order(self.jobs.values())
-        return list(self.jobs.values())
+            runs = [zip(repeat(t), members)
+                    for (_, t), members in self._classes.items()]
+        else:
+            runs = [zip(repeat(-self._class_priorities[cls]), members)
+                    for cls, members in self._classes.items()]
+        merged = heapq.merge(*runs, key=_service_order)
+        return [job for _, job in islice(merged, limit)]
 
     def jobs_ahead(self, probe_priority: float) -> int:
         """Queued jobs strictly ahead of a job with the probed priority."""
-        return sum(count for cls, count in self._class_counts.items()
-                   if self._class_priorities[cls] > probe_priority)
+        return sum(len(self._classes[cls])
+                   for cls, pr in self._class_priorities.items()
+                   if pr > probe_priority)
 
     def migration_candidates(self, batch_size: int, cutoff: float) -> List[str]:
         """Lowest-priority job ids below the migration cutoff, worst first."""
-        worst_first = sorted(self.jobs.values(), key=self._sort_key,
-                             reverse=True)
-        tail = [j.job_id for j in worst_first
-                if self.priority_of(j.job_id) < cutoff]
-        return tail[:batch_size]
+        tails = [zip(repeat(-pr), reversed(self._classes[cls]))
+                 for cls, pr in self._class_priorities.items() if pr < cutoff]
+        worst_first = heapq.merge(*tails, key=_service_order, reverse=True)
+        return [job.job_id for _, job in islice(worst_first, batch_size)]
+
+
+def _class_of(job: JobSpec) -> Tuple[str, int]:
+    return job.user_id, job.processors_required
+
+
+_submit_order = attrgetter("submit_time", "job_id")
+
+
+def _service_order(ranked: Tuple[float, JobSpec]) -> tuple:
+    """Sort key of a (class rank, job) pair: rank, submit time, job id."""
+    rank, job = ranked
+    return rank, job.submit_time, job.job_id
 
 
 def _bump(counts: dict, key, by: int) -> None:

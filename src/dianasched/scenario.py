@@ -8,6 +8,7 @@ error names the offending line and field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -107,6 +108,8 @@ class Scenario:
             raise ScenarioError("echo_retries must be >= 1")
         if self.batch_size < 1:
             raise ScenarioError("batch_size must be >= 1")
+        if not (math.isfinite(self.b_ref) and self.b_ref > 0):
+            raise ScenarioError(f"b_ref must be finite and > 0, got {self.b_ref}")
         if (self.queue is QueueDiscipline.PRIORITY_MULTIQUEUE
                 and self.scheduler is not SchedulerKind.DIANA):
             raise ScenarioError("priority queue discipline requires the diana scheduler")
@@ -181,14 +184,22 @@ def _parse_kv(parts: List[str], required: List[str], lineno: int,
     return got
 
 
+def _non_negative(name: str, text: str) -> float:
+    """A finite number >= 0; NaN and infinities are rejected."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _parse_demand(text: str, lineno: int) -> DemandSpec:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        lo, hi = float(lo), float(hi)
+        lo, hi = _non_negative("demand", lo), _non_negative("demand", hi)
         if hi < lo:
             raise ScenarioError(f"line {lineno}: demand range {text!r} is inverted")
         return (lo, hi)
-    return float(text)
+    return _non_negative("demand", text)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -244,16 +255,19 @@ def parse_scenario(text: str) -> Scenario:
                                lineno, {"data": "0", "kind": "mixed",
                                         "per_site": "false"})
                 scenario.bursts.append(BurstDef(
-                    time=float(kv["time"]), user=kv["user"], site=kv["site"],
+                    time=_non_negative("time", kv["time"]), user=kv["user"],
+                    site=kv["site"],
                     count=int(kv["count"]),
                     demand=_parse_demand(kv["demand"], lineno),
-                    procs=int(kv["procs"]), data=float(kv["data"]),
+                    procs=int(kv["procs"]),
+                    data=_non_negative("data", kv["data"]),
                     data_site=kv["data_site"], kind=JobKind(kv["kind"]),
                     per_site=_parse_bool(kv["per_site"])))
             elif key == "fault":
                 if len(args) != 3:
                     raise ScenarioError(f"line {lineno}: fault takes action site time")
-                scenario.faults.append(FaultDef(args[0], args[1], float(args[2])))
+                scenario.faults.append(
+                    FaultDef(args[0], args[1], _non_negative("time", args[2])))
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         except ScenarioError:

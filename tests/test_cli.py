@@ -2,7 +2,9 @@
 
 import pytest
 
+from dianasched import cli
 from dianasched.cli import main
+from dianasched.engine import SimulationError
 
 SCENARIO = """
 site s1 nodes=2 power=1.0
@@ -53,6 +55,48 @@ class TestRun:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "thrs" in capsys.readouterr().err
+
+
+class TestDiagnostics:
+    """Bad numbers end in exit 2 and one line naming the line, not a traceback."""
+
+    @pytest.mark.parametrize("line,field", [
+        ("burst time=-5 user=u site=s1 count=1 demand=2 procs=1 data_site=s1",
+         "time"),
+        ("burst time=nan user=u site=s1 count=1 demand=2 procs=1 data_site=s1",
+         "time"),
+        ("burst time=0 user=u site=s1 count=1 demand=nan procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=-1 procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=1:inf procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=2 procs=1 data=-1 "
+         "data_site=s1", "data"),
+        ("fault crash s2 -1", "time"),
+        ("fault crash s2 nan", "time"),
+        ("fault register s2 inf", "time")])
+    def test_negative_or_non_finite_number(self, tmp_path, capsys, line, field):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(SCENARIO.lstrip() + line + "\n")
+        code = main(["run", "--scenario", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: line 6: ") and field in err
+
+    def test_simulation_error_exits_2(self, scenario_file, tmp_path, capsys,
+                                      monkeypatch):
+        def broken(scenario, seed):
+            raise SimulationError("event scheduled in the past: 1.0 < now 2.0")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        code = main(["run", "--scenario", scenario_file, "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: event scheduled in the past: 1.0 < now 2.0\n")
 
 
 class TestSweepAndCompare:

@@ -3,8 +3,10 @@
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
-from dianasched.engine import (JobStatus, generate_workload, run_scenario,
-                               workload_hash)
+from dianasched.engine import (JobStatus, Simulation, SimulationError,
+                               generate_workload, run_scenario, workload_hash)
+from dianasched.presets import scenario_preset
+from dianasched.queueing import MultilevelQueue
 from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
 from dianasched.core import JobKind, NetworkLink, UserProfile
 from test_acceptance import _congestion_scenario
@@ -289,3 +291,28 @@ class TestSummary:
         assert s["mean_exec_time"] == pytest.approx(6.0)  # (4 + 8) / 2
         assert s["mean_queue_time"] == pytest.approx(2.0)
         assert s["makespan"] == pytest.approx(8.0)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("time", [4.0, float("nan")])
+    def test_event_in_the_past_is_a_typed_error(self, time):
+        sim = Simulation(one_site_scenario([]), seed=1)
+        sim.now = 5.0
+        with pytest.raises(SimulationError, match="in the past"):
+            sim._at(time, lambda: None)
+
+    def test_allocation_reads_only_the_queue_head(self, monkeypatch):
+        # Every engine call of `ordered` asks for the head alone, so queue
+        # work per allocation does not grow with queue length.
+        sizes = []
+        ordered = MultilevelQueue.ordered
+
+        def counting(self, *args, **kwargs):
+            out = ordered(self, *args, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(MultilevelQueue, "ordered", counting)
+        result = run_scenario(scenario_preset("P1"), seed=42)
+        assert result.count(JobStatus.COMPLETED) == len(result.jobs)
+        assert sizes and max(sizes) == 1

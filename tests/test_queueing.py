@@ -249,6 +249,65 @@ class TestQueueOracle:
         assert q1.priorities == pytest.approx(q2.priorities)
 
 
+class TestServiceOrderOracle:
+    """The class-merged views against a from-scratch full sort.
+
+    Users a and b have equal quotas, so their classes tie on priority and
+    must interleave by (submit time, job id).  Submit times are drawn out
+    of arrival order, and removed jobs may arrive again, as transfers and
+    migrations deliver them.
+    """
+
+    @staticmethod
+    def full_sort(q, arrivals):
+        if q.discipline is QueueDiscipline.PRIORITY_MULTIQUEUE:
+            return sorted(q.jobs.values(), key=lambda j: (
+                -q.priority_of(j.job_id), j.submit_time, j.job_id))
+        if q.discipline is QueueDiscipline.SJF:
+            return sjf_order(q.jobs.values())
+        return [q.jobs[job_id] for job_id in arrivals]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), discipline=st.sampled_from(list(QueueDiscipline)))
+    def test_views_match_full_sort(self, data, discipline):
+        users = mk_users(a=1.0, b=1.0, c=2.0)
+        q = MultilevelQueue(users, discipline)
+        arrivals, gone = [], []
+        for i in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(["add", "add", "remove", "again"]))
+            if op == "remove" and arrivals:
+                victim = data.draw(st.sampled_from(arrivals))
+                arrivals.remove(victim)
+                gone.append(q.remove(victim))
+            elif op == "again" and gone:
+                job = gone.pop(data.draw(st.integers(0, len(gone) - 1)))
+                q.enqueue(job)
+                arrivals.append(job.job_id)
+            else:
+                # Later arrivals get smaller ids, so id order is not
+                # arrival order.
+                job = mk_job(job_id=f"j{99 - i:02d}",
+                             user=data.draw(st.sampled_from("abc")),
+                             procs=data.draw(st.integers(1, 3)),
+                             submit=float(data.draw(st.integers(0, 6))))
+                q.enqueue(job)
+                arrivals.append(job.job_id)
+            expect = self.full_sort(q, arrivals)
+            assert q.ordered() == expect
+            assert q.ordered(1) == expect[:1]
+            if discipline is not QueueDiscipline.PRIORITY_MULTIQUEUE:
+                continue
+            assert q.priorities == pytest.approx(
+                scratch_priorities(users, list(q.jobs.values())))
+            batch = data.draw(st.integers(1, 5))
+            cutoff = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 1.5]))
+            worst_first = [j.job_id for j in reversed(expect)
+                           if q.priority_of(j.job_id) < cutoff]
+            assert q.migration_candidates(batch, cutoff) == worst_first[:batch]
+            assert q.jobs_ahead(cutoff) == sum(
+                1 for j in expect if q.priority_of(j.job_id) > cutoff)
+
+
 class TestCongestion:
     def test_balanced_rates_never_congested(self):
         assert congestion_ratio(4.0, 4.0) == 0.0

@@ -141,7 +141,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("line", ["thrs 1.5", "thrs -0.1", "batch_size 0",
                                       "echo_interval 0", "echo_timeout -1",
-                                      "echo_retries 0"])
+                                      "echo_retries 0", "b_ref -1", "b_ref 0",
+                                      "b_ref inf", "b_ref nan"])
     def test_setting_out_of_range(self, line):
         with pytest.raises(ScenarioError, match=line.split()[0]):
             parse_scenario(line + "\n" + MINIMAL)
