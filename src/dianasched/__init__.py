@@ -8,9 +8,8 @@ baselines, on top of a seeded discrete-event engine.
 
 from .baselines import (QueueDiscipline, SchedulerKind, flop_schedule,
                         rr_schedule, sjf_order)
-from .core import (JobKind, JobSpec, NetworkLink, RateEstimator, SiteState,
-                   Topology, UnreachableSiteError, UserProfile,
-                   available_bandwidth)
+from .core import (JobKind, JobSpec, NetworkLink, RateEstimator, Topology,
+                   UnreachableSiteError, UserProfile, available_bandwidth)
 from .costs import (CostBreakdown, CostWeights, PRESET_WEIGHTS,
                     compute_cost, network_cost, total_cost, transfer_cost)
 from .discovery import PeerRegistry

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sized
+from typing import Optional
 
 BYTES_PER_GB = 10**9
 BITS_PER_MBPS = 10**6
@@ -76,40 +76,6 @@ def available_bandwidth(link: NetworkLink) -> float:
     return link.bandwidth * (1.0 - link.background_load)
 
 
-@dataclass
-class SiteState:
-    """Per-site resource view used by the cost model and the schedulers.
-
-    ``running`` counts jobs already allocated to the local resource
-    manager; ``diana_queue`` is any sized container backing the
-    meta-scheduler queue (None for bare sites in unit tests).
-    """
-
-    site_id: str
-    node_count: int
-    node_power: float  # MFLOPS per node
-    running: int = 0
-    diana_queue: Optional[Sized] = None
-    arrival_rate: float = 0.0  # jobs/s, EWMA estimate
-    service_rate: float = 0.0  # jobs/s, EWMA estimate
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError(f"site {self.site_id}: node_count must be >= 1")
-        if self.node_power <= 0:
-            raise ValueError(f"site {self.site_id}: node_power must be > 0")
-        if self.arrival_rate < 0 or self.service_rate < 0:
-            raise ValueError(f"site {self.site_id}: rates must be >= 0")
-
-    @property
-    def backlog(self) -> int:
-        """Jobs at this site: running locally plus meta-scheduler queue."""
-        n = self.running
-        if self.diana_queue is not None:
-            n += len(self.diana_queue)
-        return n
-
-
 class RateEstimator:
     """Exponentially weighted moving average of an event rate.
 
@@ -135,18 +101,14 @@ class UnreachableSiteError(Exception):
 
 
 class Topology:
-    """Site and link lookup with an optional default link for absent pairs."""
+    """Link lookup with an optional default link for absent pairs."""
 
-    def __init__(self, sites, links=None, default_link: Optional[NetworkLink] = None):
-        self.sites = {s.site_id: s for s in sites}
+    def __init__(self, links=None, default_link: Optional[NetworkLink] = None):
         self._links = {}
         for link in links or []:
             self._links[(link.from_site, link.to_site)] = link
             self._links[(link.to_site, link.from_site)] = link
         self.default_link = default_link
-
-    def site_ids(self):
-        return sorted(self.sites)
 
     def link_between(self, a: str, b: str) -> Optional[NetworkLink]:
         """Link connecting two sites; None when they are the same site.

@@ -51,8 +51,8 @@ class CostBreakdown:
 def compute_cost(job: JobSpec, site) -> float:
     """Service time on `site` plus the estimated wait behind its queues.
 
-    `site` needs node_count, node_power, service_rate and backlog; both
-    real SiteState values and peer-snapshot estimates qualify.
+    `site` needs node_count, node_power, service_rate and backlog; the
+    engine's SiteRuntime (the local site) and a PeerSnapshot both qualify.
     """
     effective = site.node_power * min(job.processors_required, site.node_count)
     service = job.compute_demand / effective if job.compute_demand else 0.0

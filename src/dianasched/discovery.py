@@ -8,15 +8,7 @@ travel over the scheduler's own peer polls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-
-@dataclass
-class PeerEntry:
-    registered_time: float
-    last_echo_ok_time: float
-    missed_echoes: int = 0
 
 
 class PeerRegistry:
@@ -30,45 +22,36 @@ class PeerRegistry:
         if retries < 1:
             raise ValueError("retries must be >= 1")
         self.retries = retries
-        self._entries: Dict[str, PeerEntry] = {}
+        self._missed: Dict[str, int] = {}  # alive peer -> missed echoes
 
-    def register(self, site_id: str, now: float) -> None:
-        """Add or revive a peer; re-registering refreshes the timestamp."""
-        entry = self._entries.get(site_id)
-        if entry is None:
-            self._entries[site_id] = PeerEntry(now, now)
-        else:
-            entry.registered_time = now
-            entry.last_echo_ok_time = now
-            entry.missed_echoes = 0
+    def register(self, site_id: str) -> None:
+        """Add or revive a peer; re-registering clears its missed echoes."""
+        self._missed[site_id] = 0
 
     def deregister(self, site_id: str) -> None:
         """Clean shutdown; unknown peers are a no-op."""
-        self._entries.pop(site_id, None)
+        self._missed.pop(site_id, None)
 
     def is_alive(self, site_id: str) -> bool:
-        return site_id in self._entries
+        return site_id in self._missed
 
     def list_peers(self, requester: Optional[str] = None) -> List[str]:
         """All alive peers except the requester, sorted for determinism."""
-        return sorted(s for s in self._entries if s != requester)
+        return sorted(s for s in self._missed if s != requester)
 
-    def echo_sweep(self, now: float,
-                   responder: Callable[[str], bool]) -> List[str]:
+    def echo_sweep(self, responder: Callable[[str], bool]) -> List[str]:
         """Echo every alive peer; remove the ones that fail to reply.
 
         `responder(site_id)` tells whether the peer answers within the echo
         timeout.  Returns the removed site ids (sorted).
         """
         removed = []
-        for site_id in sorted(self._entries):
-            entry = self._entries[site_id]
+        for site_id in sorted(self._missed):
             if responder(site_id):
-                entry.last_echo_ok_time = now
-                entry.missed_echoes = 0
+                self._missed[site_id] = 0
             else:
-                entry.missed_echoes += 1
-                if entry.missed_echoes >= self.retries:
-                    del self._entries[site_id]
+                self._missed[site_id] += 1
+                if self._missed[site_id] >= self.retries:
+                    del self._missed[site_id]
                     removed.append(site_id)
         return removed

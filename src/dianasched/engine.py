@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
-from .core import (JobSpec, RateEstimator, SiteState, Topology,
-                   UnreachableSiteError, UserProfile)
+from .core import (JobSpec, RateEstimator, Topology, UnreachableSiteError,
+                   UserProfile)
 from .costs import transfer_cost
 from .discovery import PeerRegistry
 from .queueing import MultilevelQueue, congestion_ratio, is_congested
@@ -68,11 +68,20 @@ class JobRecord:
 
 
 class SiteRuntime:
+    """The one mutable record of a site during a run.
+
+    The cost model reads it directly as the local candidate: it has the
+    site_id, node_count, node_power, service_rate and backlog that a
+    PeerSnapshot reports for a peer.
+    """
+
     def __init__(self, sdef: SiteDef, scenario: Scenario,
                  users: Dict[str, UserProfile]):
+        self.site_id = sdef.site_id
+        self.node_count = sdef.nodes
+        self.node_power = sdef.power  # MFLOPS per node
         self.queue = MultilevelQueue(users, scenario.queue)
-        self.state = SiteState(site_id=sdef.site_id, node_count=sdef.nodes,
-                               node_power=sdef.power, diana_queue=self.queue)
+        self.running = 0  # jobs handed to the local resource manager
         self.idle_nodes = sdef.nodes
         self.crashed = False
         self.parked: List[str] = []  # job ids submitted while crashed
@@ -85,16 +94,13 @@ class SiteRuntime:
         self.busy_node_seconds = 0.0
 
     @property
-    def site_id(self):
-        return self.state.site_id
+    def service_rate(self) -> float:
+        return self.svc_est.value
 
     @property
-    def node_count(self):
-        return self.state.node_count
-
-    @property
-    def node_power(self):
-        return self.state.node_power
+    def backlog(self) -> int:
+        """Jobs at this site: running plus queued."""
+        return self.running + len(self.queue)
 
 
 def generate_workload(scenario: Scenario,
@@ -201,11 +207,10 @@ class Simulation:
         self.sites: Dict[str, SiteRuntime] = {}
         for sdef in scenario.resolved_sites():
             self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
-        self.topology = Topology([s.state for s in self.sites.values()],
-                                 scenario.links, scenario.default_link)
+        self.topology = Topology(scenario.links, scenario.default_link)
         self.registry = PeerRegistry(scenario.echo_retries)
         for sid in self.sites:
-            self.registry.register(sid, 0.0)
+            self.registry.register(sid)
         self.workload = generate_workload(scenario, seed)
         self.workload_digest = workload_hash(self.workload)
         self.jobs: Dict[str, JobRecord] = {}
@@ -312,7 +317,7 @@ class Simulation:
             self._maybe_poll(site)
             peers = self._peer_estimates(site)
             try:
-                decision = schedule(job, site.state, peers, self.topology,
+                decision = schedule(job, site, peers, self.topology,
                                     b_ref=self.scenario.b_ref,
                                     weight_overrides=self.scenario.weights)
             except UnschedulableError:
@@ -362,7 +367,7 @@ class Simulation:
             rec.exec_site = site.site_id
             rec.status = JobStatus.RUNNING
             site.idle_nodes -= head.processors_required
-            site.state.running += 1
+            site.running += 1
             duration = (head.compute_demand /
                         (site.node_power * head.processors_required)
                         if head.compute_demand else 0.0)
@@ -374,7 +379,7 @@ class Simulation:
         site = self.sites[rec.exec_site]
         rec.completed = self.now
         site.idle_nodes += rec.spec.processors_required
-        site.state.running -= 1
+        site.running -= 1
         site.completions_window += 1
         site.busy_node_seconds += duration * rec.spec.processors_required
         self._terminal(rec, JobStatus.COMPLETED, site=site.site_id)
@@ -413,8 +418,8 @@ class Simulation:
             site.snapshots[sid] = PeerSnapshot(
                 site_id=sid, node_count=peer.node_count,
                 node_power=peer.node_power,
-                queue_length=len(peer.queue) + peer.state.running,
-                service_rate=peer.svc_est.value,
+                queue_length=peer.backlog,
+                service_rate=peer.service_rate,
                 snapshot_time=self.now, jobs_ahead=ahead)
         self._trace("poll", site=site.site_id, peers=len(site.snapshots))
 
@@ -436,8 +441,8 @@ class Simulation:
                 site.arrivals_window = 0
                 site.completions_window = 0
                 continue
-            site.state.arrival_rate = site.arr_est.update(site.arrivals_window, window)
-            site.state.service_rate = site.svc_est.update(site.completions_window, window)
+            site.arr_est.update(site.arrivals_window, window)
+            site.svc_est.update(site.completions_window, window)
             site.arrivals_window = 0
             site.completions_window = 0
             self._check_congestion(site)
@@ -451,8 +456,7 @@ class Simulation:
         if (self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE
                 or not self.scenario.migration_enabled):
             return
-        ratio = congestion_ratio(site.state.arrival_rate,
-                                 site.state.service_rate)
+        ratio = congestion_ratio(site.arr_est.value, site.service_rate)
         if not is_congested(ratio, self.scenario.thrs) or not len(site.queue):
             return
         cands = site.queue.migration_candidates(self.scenario.batch_size,
@@ -466,7 +470,7 @@ class Simulation:
             return
         batch = [site.queue.jobs[c] for c in cands]
         local_ahead = site.queue.jobs_ahead(ref_pr)
-        target = migrate_batch(batch, site.state, local_ahead, peers,
+        target = migrate_batch(batch, site, local_ahead, peers,
                                self.topology, self.scenario.b_ref)
         if target is None:
             self._trace("migration_stay_local", site=site.site_id,
@@ -491,7 +495,7 @@ class Simulation:
         alive = self.registry.list_peers()
         for sid in alive:
             self.messages += 2 if responder(sid) else 1
-        removed = self.registry.echo_sweep(self.now, responder)
+        removed = self.registry.echo_sweep(responder)
         for sid in removed:
             # Discovery pushes the removal to the surviving sites so none
             # keeps exporting to a dead peer on a stale snapshot.
@@ -517,7 +521,7 @@ class Simulation:
             self._trace("peer_deregistered", site=fault.site)
         elif fault.action == "register":
             site.crashed = False
-            self.registry.register(fault.site, self.now)
+            self.registry.register(fault.site)
             self._trace("peer_registered", site=fault.site)
             self._idle_ticks = 0
             parked, site.parked = site.parked, []

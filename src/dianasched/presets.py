@@ -14,7 +14,6 @@ Workload presets:
 
 from __future__ import annotations
 
-from .baselines import QueueDiscipline, SchedulerKind
 from .core import JobKind, NetworkLink, UserProfile
 from .scenario import BurstDef, Scenario, SiteDef
 

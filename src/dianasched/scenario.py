@@ -2,8 +2,9 @@
 
 The format is line-oriented: one `key value` or record line per
 statement, `#` comments, blank lines ignored.  See docs/scenario-format.md
-for the full grammar.  Unknown keys are rejected and every validation
-error names the offending line and field.
+for the full grammar.  Unknown keys are rejected, and an error in one
+line's values names that line and field; checks that relate lines to
+each other (undefined or duplicate ids) are file-level.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .baselines import QueueDiscipline, SchedulerKind
 from .core import JobKind, NetworkLink, UserProfile
-from .costs import CostWeights
+from .costs import REFERENCE_BANDWIDTH, CostWeights
 
 DemandSpec = Union[float, Tuple[float, float]]  # point value or uniform range
 
@@ -27,7 +28,13 @@ class ScenarioError(ValueError):
 class SiteDef:
     site_id: str
     nodes: int
-    power: float
+    power: float  # MFLOPS per node
+
+    def __post_init__(self):
+        if self.nodes < 1:
+            raise ValueError(f"site {self.site_id}: nodes must be >= 1")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"site {self.site_id}: power must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -43,12 +50,22 @@ class BurstDef:
     kind: JobKind
     per_site: bool = False  # multiply count by the resolved site count
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("burst count must be >= 1")
+        if self.procs < 1:
+            raise ValueError("burst procs must be >= 1")
+
 
 @dataclass(frozen=True)
 class FaultDef:
     action: str  # crash | register | deregister
     site: str
     time: float
+
+    def __post_init__(self):
+        if self.action not in ("crash", "register", "deregister"):
+            raise ValueError(f"unknown fault action {self.action!r}")
 
 
 @dataclass
@@ -65,7 +82,7 @@ class Scenario:
     echo_retries: int = 1
     rate_interval: float = 10.0
     alpha: float = 0.2
-    b_ref: float = 1000.0
+    b_ref: float = REFERENCE_BANDWIDTH
     duration_cap: float = 0.0  # 0 disables the cap
     weights: Dict[JobKind, CostWeights] = field(default_factory=dict)
     sites: List[SiteDef] = field(default_factory=list)
@@ -88,32 +105,18 @@ class Scenario:
         return out
 
     def validate(self) -> None:
-        site_ids = [s.site_id for s in self.resolved_sites()]
-        if not site_ids:
+        """Check the whole scenario; also covers scenarios built in code."""
+        ids = [s.site_id for s in self.resolved_sites()]
+        if not ids:
             raise ScenarioError("scenario defines no sites")
-        if len(set(site_ids)) != len(site_ids):
+        if len(set(ids)) != len(ids):
             raise ScenarioError("duplicate site ids")
-        if not 0 <= self.thrs <= 1:
-            raise ScenarioError(f"thrs {self.thrs} outside the [0, 1] interval")
-        if self.alpha <= 0 or self.alpha > 1:
-            raise ScenarioError(f"alpha {self.alpha} outside (0, 1]")
-        for name, value in (("poll_interval", self.poll_interval),
-                            ("echo_interval", self.echo_interval),
-                            ("rate_interval", self.rate_interval)):
-            if value <= 0:
-                raise ScenarioError(f"{name} must be > 0, got {value}")
-        if self.echo_timeout < 0:
-            raise ScenarioError("echo_timeout must be >= 0")
-        if self.echo_retries < 1:
-            raise ScenarioError("echo_retries must be >= 1")
-        if self.batch_size < 1:
-            raise ScenarioError("batch_size must be >= 1")
-        if not (math.isfinite(self.b_ref) and self.b_ref > 0):
-            raise ScenarioError(f"b_ref must be finite and > 0, got {self.b_ref}")
+        for key in _SETTING_RANGES:
+            _check_setting(key, getattr(self, key))
         if (self.queue is QueueDiscipline.PRIORITY_MULTIQUEUE
                 and self.scheduler is not SchedulerKind.DIANA):
             raise ScenarioError("priority queue discipline requires the diana scheduler")
-        known_sites = set(site_ids)
+        known_sites = set(ids)
         for link in self.links:
             for end in (link.from_site, link.to_site):
                 if end not in known_sites:
@@ -128,15 +131,9 @@ class Scenario:
                 raise ScenarioError(f"burst references undefined site {b.site!r}")
             if b.data_site not in known_sites:
                 raise ScenarioError(f"burst data_site {b.data_site!r} is undefined")
-            if b.count < 1:
-                raise ScenarioError("burst count must be >= 1")
-            if b.procs < 1:
-                raise ScenarioError("burst procs must be >= 1")
         for f in self.faults:
             if f.site not in known_sites:
                 raise ScenarioError(f"fault references undefined site {f.site!r}")
-            if f.action not in ("crash", "register", "deregister"):
-                raise ScenarioError(f"unknown fault action {f.action!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -145,6 +142,30 @@ def _parse_bool(text: str) -> bool:
     if text in ("false", "0", "no"):
         return False
     raise ValueError(f"{text!r} is not a boolean (true/1/yes or false/0/no)")
+
+
+# The range of each checked scalar setting, as a test and its wording.
+# Every value must also be finite, which the wording of the floats says.
+_SETTING_RANGES = {
+    "thrs": (lambda v: 0 <= v <= 1, "finite and in [0, 1]"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "migration_cutoff": (lambda v: True, "finite"),
+    "poll_interval": (lambda v: v > 0, "finite and > 0"),
+    "echo_interval": (lambda v: v > 0, "finite and > 0"),
+    "echo_timeout": (lambda v: v >= 0, "finite and >= 0"),
+    "echo_retries": (lambda v: v >= 1, ">= 1"),
+    "rate_interval": (lambda v: v > 0, "finite and > 0"),
+    "alpha": (lambda v: 0 < v <= 1, "finite and in (0, 1]"),
+    "b_ref": (lambda v: v > 0, "finite and > 0"),
+    "duration_cap": (lambda v: v >= 0, "finite and >= 0"),
+}
+
+
+def _check_setting(key: str, value, where: str = "") -> None:
+    """Raise ScenarioError, prefixed by `where`, when `value` is out of range."""
+    test, rule = _SETTING_RANGES[key]
+    if not (math.isfinite(value) and test(value)):
+        raise ScenarioError(f"{where}{key} must be {rule}, got {value!r}")
 
 
 _SCALAR_KEYS = {
@@ -217,7 +238,10 @@ def parse_scenario(text: str) -> Scenario:
             if key in _SCALAR_KEYS:
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: {key} takes one value")
-                setattr(scenario, key, _SCALAR_KEYS[key](args[0]))
+                value = _SCALAR_KEYS[key](args[0])
+                if key in _SETTING_RANGES:
+                    _check_setting(key, value, f"line {lineno}: ")
+                setattr(scenario, key, value)
             elif key == "preset":
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: preset takes one name")

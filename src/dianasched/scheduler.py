@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .core import JobSpec, SiteState, Topology, UnreachableSiteError
+from .core import JobSpec, Topology, UnreachableSiteError
 from .costs import (CostBreakdown, CostWeights, PRESET_WEIGHTS,
                     REFERENCE_BANDWIDTH, UNIT_WEIGHTS, total_cost)
 
@@ -69,18 +69,17 @@ def classify(job: JobSpec, overrides=None) -> CostWeights:
     return PRESET_WEIGHTS[job.kind]
 
 
-def schedule(job: JobSpec, local: SiteState, peers: Sequence[PeerSnapshot],
-             topology: Topology, weights: Optional[CostWeights] = None,
-             b_ref: float = REFERENCE_BANDWIDTH,
+def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot],
+             topology: Topology, b_ref: float = REFERENCE_BANDWIDTH,
              weight_overrides=None) -> SchedulingDecision:
     """Choose the minimum aggregate-cost site for a first-time job.
 
-    Candidates are the local site plus every peer snapshot.  Ties break by
+    Candidates are the local site (the engine's SiteRuntime) plus every
+    peer snapshot; both expose what `compute_cost` reads.  Ties break by
     (lower total, fewer queued jobs, lexical site id).  Raises
     UnschedulableError when no candidate owns enough nodes even when idle.
     """
-    if weights is None:
-        weights = classify(job, weight_overrides)
+    weights = classify(job, weight_overrides)
     candidates = [local] + list(peers)
     feasible = [c for c in candidates if job.processors_required <= c.node_count]
     if not feasible:
@@ -118,7 +117,7 @@ def batch_cost(batch: Sequence[JobSpec], site, topology: Topology,
     return acc
 
 
-def migrate_batch(batch: Sequence[JobSpec], local: SiteState,
+def migrate_batch(batch: Sequence[JobSpec], local,
                   local_jobs_ahead: int, peers: Sequence[PeerSnapshot],
                   topology: Topology,
                   b_ref: float = REFERENCE_BANDWIDTH) -> Optional[str]:

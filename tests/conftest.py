@@ -1,6 +1,7 @@
 """Shared fixtures and small builders for the test suite."""
 
-from dianasched.core import JobSpec, JobKind, SiteState, UserProfile
+from dianasched.core import JobSpec, JobKind, UserProfile
+from dianasched.scheduler import PeerSnapshot
 
 
 def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
@@ -10,11 +11,12 @@ def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
                    data_site=data_site, submit_time=submit, kind=kind)
 
 
-def mk_site(site_id="s1", nodes=5, power=1.0, local=None, diana=None,
-            arrival=0.0, service=0.0) -> SiteState:
-    return SiteState(site_id=site_id, node_count=nodes, node_power=power,
-                     running=len(local or []), diana_queue=diana,
-                     arrival_rate=arrival, service_rate=service)
+def mk_site(site_id="s1", nodes=5, power=1.0, backlog=0,
+            service=0.0) -> PeerSnapshot:
+    """A site as the cost model reads it, with `backlog` jobs queued."""
+    return PeerSnapshot(site_id=site_id, node_count=nodes, node_power=power,
+                        queue_length=backlog, service_rate=service,
+                        snapshot_time=0.0)
 
 
 def mk_users(**quotas):

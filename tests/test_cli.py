@@ -58,7 +58,10 @@ class TestRun:
 
 
 class TestDiagnostics:
-    """Bad numbers end in exit 2 and one line naming the line, not a traceback."""
+    """Bad numbers end in exit 2 and one line naming the line, not a traceback.
+
+    Covers burst and fault numbers, site values and scalar settings.
+    """
 
     @pytest.mark.parametrize("line,field", [
         ("burst time=-5 user=u site=s1 count=1 demand=2 procs=1 data_site=s1",
@@ -75,7 +78,26 @@ class TestDiagnostics:
          "data_site=s1", "data"),
         ("fault crash s2 -1", "time"),
         ("fault crash s2 nan", "time"),
-        ("fault register s2 inf", "time")])
+        ("fault register s2 inf", "time"),
+        ("burst time=0 user=u site=s1 count=0 demand=2 procs=1 data_site=s1",
+         "count"),
+        ("burst time=0 user=u site=s1 count=1 demand=2 procs=0 data_site=s1",
+         "procs"),
+        ("fault explode s2 1", "action"),
+        ("site s3 nodes=0 power=1", "nodes"),
+        ("site s3 nodes=1 power=0", "power"),
+        ("site s3 nodes=1 power=-1", "power"),
+        ("site s3 nodes=1 power=nan", "power"),
+        ("site s3 nodes=1 power=inf", "power"),
+        ("site_template prefix=t nodes=0 power=1", "nodes"),
+        ("site_template prefix=t nodes=1 power=nan", "power"),
+        ("thrs 1.5", "thrs"),
+        ("poll_interval nan", "poll_interval"),
+        ("migration_cutoff nan", "migration_cutoff"),
+        ("echo_timeout nan", "echo_timeout"),
+        ("duration_cap nan", "duration_cap"),
+        ("duration_cap -3", "duration_cap"),
+        ("rate_interval inf", "rate_interval")])
     def test_negative_or_non_finite_number(self, tmp_path, capsys, line, field):
         bad = tmp_path / "bad.txt"
         bad.write_text(SCENARIO.lstrip() + line + "\n")

@@ -4,7 +4,7 @@ import pytest
 
 from dianasched.core import (NetworkLink, RateEstimator, Topology,
                              UnreachableSiteError, available_bandwidth)
-from conftest import mk_job, mk_site
+from conftest import mk_job
 
 
 class TestJobSpec:
@@ -57,24 +57,6 @@ class TestNetworkLink:
             NetworkLink("a", "b", 100.0, latency=-1.0)
 
 
-class TestSiteState:
-    def test_backlog_counts_both_queues(self):
-        site = mk_site(local=["a", "b"], diana=["c"])
-        assert site.backlog == 3
-
-    def test_backlog_without_diana_queue(self):
-        site = mk_site(local=["a"])
-        assert site.backlog == 1
-
-    def test_rejects_zero_nodes(self):
-        with pytest.raises(ValueError, match="node_count"):
-            mk_site(nodes=0)
-
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError, match="node_power"):
-            mk_site(power=0.0)
-
-
 class TestRateEstimator:
     def test_first_update_from_zero(self):
         est = RateEstimator(alpha=0.2)
@@ -104,9 +86,7 @@ class TestRateEstimator:
 
 class TestTopology:
     def _topo(self, default=None):
-        sites = [mk_site("s1"), mk_site("s2"), mk_site("s3")]
-        links = [NetworkLink("s1", "s2", 100.0)]
-        return Topology(sites, links, default)
+        return Topology([NetworkLink("s1", "s2", 100.0)], default)
 
     def test_same_site_has_no_link(self):
         assert self._topo().link_between("s1", "s1") is None
@@ -131,6 +111,3 @@ class TestTopology:
     def test_unreachable_without_default(self):
         with pytest.raises(UnreachableSiteError):
             self._topo().link_between("s1", "s3")
-
-    def test_site_ids_sorted(self):
-        assert self._topo().site_ids() == ["s1", "s2", "s3"]

@@ -24,7 +24,7 @@ class TestComputeCost:
         assert compute_cost(job, mk_site(nodes=4, power=10.0)) == pytest.approx(2.5)
 
     def test_backlog_adds_service_rate_delay(self):
-        site = mk_site(local=["a", "b", "c", "d"], service=2.0)
+        site = mk_site(backlog=4, service=2.0)
         job = mk_job(demand=10.0, procs=1)
         assert compute_cost(job, site) == pytest.approx(10.0 + 4 / 2.0)
 

@@ -316,3 +316,30 @@ class TestInvariants:
         result = run_scenario(scenario_preset("P1"), seed=42)
         assert result.count(JobStatus.COMPLETED) == len(result.jobs)
         assert sizes and max(sizes) == 1
+
+
+class TestSiteRecord:
+    def test_backlog_is_running_plus_queued(self):
+        # The cost model reads SiteRuntime.backlog for the local site, and
+        # polls report it for peers; check it after every event of a run
+        # that queues, allocates and exports.
+        sim = Simulation(_congestion_scenario(True), seed=7)
+        backlogs = []
+
+        def checked(fn):
+            def step(*args):
+                fn(*args)
+                for sid, site in sim.sites.items():
+                    running = sum(1 for r in sim.jobs.values()
+                                  if r.status is JobStatus.RUNNING
+                                  and r.exec_site == sid)
+                    assert site.running == running
+                    assert site.backlog == running + len(site.queue.jobs)
+                    backlogs.append(site.backlog)
+            return step
+
+        schedule_event = sim._at
+        sim._at = lambda time, fn, *args: schedule_event(time, checked(fn), *args)
+        result = sim.run()
+        assert any(r.migrations for r in result.records())
+        assert max(backlogs) > 10

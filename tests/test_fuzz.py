@@ -1,0 +1,111 @@
+"""Fuzzed scenario text: every input is rejected or runs consistently.
+
+A generated scenario must either raise ScenarioError (exit 2 with a
+one-line diagnostic through the CLI) or run with its job counts adding
+up, serialize and parse back to an equal scenario, and give the same CSV
+bytes when run twice under one seed.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dianasched.engine import Simulation
+from dianasched.report import write_run
+from dianasched.scenario import (_SCALAR_KEYS, ScenarioError, parse_scenario,
+                                 serialize_scenario)
+
+SITE_IDS = ["s1", "s2", "s3"]
+USER_IDS = ["u1", "u2"]
+BAD_NUMBERS = ["nan", "inf", "-inf", "-3"]
+
+# Good and bad values of each scalar setting; the float settings also
+# take BAD_NUMBERS as bad values.
+SETTINGS = {
+    "scheduler": (["diana", "round_robin", "flop_greedy"], ["greedy"]),
+    "queue": (["priority", "fcfs", "sjf"], []),
+    "thrs": (["0", "0.3", "1"], ["1.5"]),
+    "batch_size": (["1", "3"], ["0"]),
+    "migration_cutoff": (["0", "0.5", "-1"], []),
+    "migration_enabled": (["true", "no"], ["flase"]),
+    "poll_interval": (["1", "5", "30"], ["0"]),
+    "echo_interval": (["10", "60"], ["0"]),
+    "echo_timeout": (["0", "5"], []),
+    "echo_retries": (["1", "2"], ["0"]),
+    "rate_interval": (["5", "10"], ["0"]),
+    "alpha": (["0.2", "1"], ["0"]),
+    "b_ref": (["100", "1000"], ["0"]),
+    "duration_cap": (["0", "40"], []),
+}
+KINDS = ["mixed", "compute_intensive", "data_intensive"]
+
+
+@st.composite
+def scenario_text(draw):
+    # Half the examples draw only good values, so about half of them run;
+    # the other half mix in bad values, and most of those are rejected.
+    faulty = draw(st.booleans())
+
+    def pick(good, bad=()):
+        return draw(st.sampled_from(list(good) + (list(bad) if faulty else [])))
+
+    sites = SITE_IDS[:draw(st.integers(2, 3))]
+    users = USER_IDS[:draw(st.integers(1, 2))]
+    nodes = (["1", "2", "4"], ["0", "-1"])
+    power = (["0.5", "1", "2"], BAD_NUMBERS + ["0"])
+    lines = [f"site {s} nodes={pick(*nodes)} power={pick(*power)}" for s in sites]
+    if draw(st.booleans()):
+        lines += [f"site_template prefix=t nodes={pick(*nodes)} power={pick(*power)}",
+                  f"site_count {draw(st.integers(0, 2))}"]
+    if draw(st.integers(0, 4)):  # without a default link, most pairs are unreachable
+        lines.append(f"default_link bandwidth={pick(['10', '1000'])}")
+    if draw(st.booleans()):
+        lines.append("link s1 s2 bandwidth=100 latency=0.5")
+    lines += [f"user {u} quota={pick(['0.5', '1', '3'])}" for u in users]
+    for _ in range(draw(st.integers(1, 4))):
+        lines.append(
+            f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
+            f" user={pick(users)} site={pick(sites)}"
+            f" count={pick(['1', '2', '4'], ['0'])}"
+            f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf'])}"
+            f" procs={draw(st.integers(1, 3))}"
+            f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'])}"
+            f" data_site={pick(sites)} kind={pick(KINDS)}"
+            f" per_site={pick(['false', 'true'])}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"fault {pick(['crash', 'register', 'deregister'], ['explode'])}"
+                     f" {pick(sites)} {pick(['1', '5', '20'], BAD_NUMBERS)}")
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(sorted(SETTINGS)))
+        good, bad = SETTINGS[key]
+        if _SCALAR_KEYS[key] is float:
+            bad = bad + BAD_NUMBERS
+        lines.append(f"{key} {pick(good, bad)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def _run(text):
+    """Run once under a fixed seed; return the CSV bytes."""
+    sim = Simulation(parse_scenario(text), seed=3)
+    result = sim.run()
+    s = result.summary()
+    assert s["submitted"] == (s["completed"] + s["failed_unreachable"]
+                              + s["rejected_unschedulable"] + s["pending"])
+    for site in sim.sites.values():
+        assert 0 <= site.idle_nodes <= site.node_count
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_run(result, out)
+        return [Path(paths[k]).read_bytes() for k in ("jobs", "summary")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=scenario_text())
+def test_scenario_text_is_rejected_or_runs_consistently(text):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+    assert _run(text) == _run(text)

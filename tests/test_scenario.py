@@ -19,6 +19,14 @@ user alice quota=1
 burst time=0 user=alice site=s1 count=1 demand=5 procs=1 data_site=s1
 """
 
+FLOAT_KEYS = [k for k, parse in _SCALAR_KEYS.items() if parse is float]
+OUT_OF_RANGE = ["thrs 1.5", "thrs -0.1", "batch_size 0", "echo_interval 0",
+                "echo_timeout -1", "echo_retries 0", "b_ref -1", "b_ref 0",
+                "alpha 0", "alpha 1.5", "duration_cap -3"]
+OUT_OF_RANGE += [f"{key} {value}" for key in FLOAT_KEYS
+                 for value in ("nan", "inf", "-inf")
+                 if f"{key} {value}" not in OUT_OF_RANGE]
+
 
 class TestParsing:
     def test_minimal_scenario(self):
@@ -139,13 +147,20 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="fault action"):
             parse_scenario(MINIMAL + "fault explode s1 10\n")
 
-    @pytest.mark.parametrize("line", ["thrs 1.5", "thrs -0.1", "batch_size 0",
-                                      "echo_interval 0", "echo_timeout -1",
-                                      "echo_retries 0", "b_ref -1", "b_ref 0",
-                                      "b_ref inf", "b_ref nan"])
+    @pytest.mark.parametrize("line", OUT_OF_RANGE)
     def test_setting_out_of_range(self, line):
-        with pytest.raises(ScenarioError, match=line.split()[0]):
-            parse_scenario(line + "\n" + MINIMAL)
+        key = line.split()[0]
+        with pytest.raises(ScenarioError, match=f"^line 2: {key} must be"):
+            parse_scenario("# header\n" + line + "\n" + MINIMAL)
+
+    @pytest.mark.parametrize("key,value", [("thrs", 1.5), ("alpha", 0.0),
+                                           ("poll_interval", float("nan")),
+                                           ("duration_cap", -3.0)])
+    def test_validate_checks_settings_built_in_code(self, key, value):
+        scenario = parse_scenario(MINIMAL)
+        setattr(scenario, key, value)
+        with pytest.raises(ScenarioError, match=f"^{key} must be"):
+            scenario.validate()
 
     @pytest.mark.parametrize("line,field", [
         ("link s1 s2 bandwidth=0", "bandwidth"),

@@ -35,18 +35,17 @@ class TestClassify:
 
 
 class TestSchedule:
-    def _topology(self, *sites, bw=1000.0):
-        return Topology([mk_site(s) for s in sites],
-                        default_link=NetworkLink("*", "*", bw))
+    def _topology(self, bw=1000.0):
+        return Topology(default_link=NetworkLink("*", "*", bw))
 
     def test_no_peers_stays_local(self):
-        topo = self._topology("home")
+        topo = self._topology()
         decision = schedule(mk_job(data_site="home"), mk_site("home"), [], topo)
         assert decision.chosen_site == "home"
 
     def test_picks_global_cost_minimum(self):
         # Local costs 83 s, peer A 40 s, peer B 90 s.
-        topo = self._topology("home", "a", "b")
+        topo = self._topology()
         job = mk_job(demand=80.0, data_site="home", kind=JobKind.MIXED)
         local = mk_site("home", nodes=1, power=1.0)  # 80 + no network
         peer_a = snap("a", nodes=1, power=80 / 39)   # 39 + network 1 = 40
@@ -63,7 +62,7 @@ class TestSchedule:
         assert decision.chosen_site == min(sorted(totals), key=totals.get)
 
     def test_data_gravity_pulls_data_intensive_jobs(self):
-        topo = self._topology("x", "y", "z", bw=100.0)
+        topo = self._topology(bw=100.0)
         job = mk_job(demand=10.0, data=5 * GB, data_site="x",
                      kind=JobKind.DATA_INTENSIVE)
         local = mk_site("y")
@@ -71,32 +70,38 @@ class TestSchedule:
         assert schedule(job, local, peers, topo).chosen_site == "x"
 
     def test_unschedulable_when_no_site_fits(self):
-        topo = self._topology("home", "a")
+        topo = self._topology()
         job = mk_job(procs=16, data_site="home")
         with pytest.raises(UnschedulableError):
             schedule(job, mk_site("home", nodes=4), [snap("a", nodes=8)], topo)
 
     def test_too_small_sites_are_skipped_not_fatal(self):
-        topo = self._topology("home", "a")
+        topo = self._topology()
         job = mk_job(procs=8, data_site="home")
         decision = schedule(job, mk_site("home", nodes=4),
                             [snap("a", nodes=8)], topo)
         assert decision.chosen_site == "a"
 
     def test_cost_tie_breaks_by_backlog_then_id(self):
-        topo = self._topology("home", "a", "b")
+        topo = self._topology()
         job = mk_job(demand=0.0, data_site="home", kind=JobKind.COMPUTE_INTENSIVE)
-        local = mk_site("home", local=["x", "y"], service=1.0)
-        # Identical totals; peer b has the shorter queue.
-        peer_a = snap("a", queue=2, service=1.0)
+        local = mk_site("home", backlog=10, service=1.0)
+        # 2 jobs at rate 2 and 1 job at rate 1 wait equally long, so the
+        # totals tie exactly and peer b wins on the shorter backlog.
+        peer_a = snap("a", queue=2, service=2.0)
         peer_b = snap("b", queue=1, service=1.0)
-        with_weights = CostWeights(1, 0, 0)
-        decision = schedule(job, local, [peer_a, peer_b], topo,
-                            weights=with_weights)
-        assert decision.chosen_site != "a" or peer_a.backlog <= peer_b.backlog
+        decision = schedule(job, local, [peer_a, peer_b], topo)
+        totals = dict(decision.alternatives)
+        assert totals["a"] == totals["b"] < totals["home"]
+        assert decision.chosen_site == "b"
+        # Equal totals and backlogs fall through to the lexical site id.
+        twin_a = snap("a", queue=1, service=1.0)
+        decision = schedule(job, local, [peer_b, twin_a], topo)
+        assert dict(decision.alternatives)["a"] == totals["b"]
+        assert decision.chosen_site == "a"
 
     def test_unreachable_data_site_raises(self):
-        topo = Topology([mk_site("home"), mk_site("far")], links=[])
+        topo = Topology(links=[])
         job = mk_job(data=GB, data_site="far")
         with pytest.raises(UnreachableSiteError):
             schedule(job, mk_site("home"), [], topo)
@@ -124,15 +129,14 @@ class TestSnapshotAging:
 
 class TestMigrateBatch:
     def _topology(self):
-        sites = [mk_site(s) for s in ("home", "a", "b")]
-        return Topology(sites, default_link=NetworkLink("*", "*", 1000.0))
+        return Topology(default_link=NetworkLink("*", "*", 1000.0))
 
     def test_exports_to_best_peer(self):
         # Local: 10 jobs ahead, expensive; peers a and b both shorter,
         # a cheaper than b.
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
-        local = mk_site("home", local=list("0123456789"), service=0.1)
+        local = mk_site("home", backlog=10, service=0.1)
         peer_a = snap("a", power=2.0, queue=2, service=1.0)
         peer_b = snap("b", power=1.0, queue=2, service=1.0)
         assert migrate_batch(batch, local, 0, [peer_a, peer_b], topo) == "a"
@@ -147,14 +151,14 @@ class TestMigrateBatch:
     def test_better_queue_but_worse_cost_stays_local(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
-        local = mk_site("home", local=["x", "y"], service=1.0)
+        local = mk_site("home", backlog=2, service=1.0)
         slow = snap("a", power=0.01, queue=0, service=1.0)
         assert migrate_batch(batch, local, 2, [slow], topo) is None
 
     def test_exact_tie_goes_to_lexically_smaller_peer(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, data_site="home")]
-        local = mk_site("home", local=list("0123456789"), service=0.1)
+        local = mk_site("home", backlog=10, service=0.1)
         twin_a = snap("a", power=2.0, queue=1, service=1.0)
         twin_b = snap("b", power=2.0, queue=1, service=1.0)
         assert migrate_batch(batch, local, 0, [twin_b, twin_a], topo) == "a"
@@ -162,7 +166,7 @@ class TestMigrateBatch:
     def test_undersized_peers_never_win(self):
         topo = self._topology()
         batch = [mk_job(job_id="m1", demand=10.0, procs=4, data_site="home")]
-        local = mk_site("home", nodes=4, local=list("0123456789"), service=0.1)
+        local = mk_site("home", nodes=4, backlog=10, service=0.1)
         tiny = snap("a", nodes=2, power=100.0, queue=0, service=10.0)
         assert migrate_batch(batch, local, 0, [tiny], topo) is None
 
