@@ -1,4 +1,4 @@
-"""Baseline placement policies and queue orderings used for comparison.
+"""Baseline placement policies and the scheduler and queue kinds.
 
 Round Robin ignores cost, queues and network conditions entirely; the
 FLOP-greedy policy polls every site before every decision and grabs the
@@ -8,7 +8,7 @@ most powerful idle capacity.
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core import JobSpec
 
@@ -42,8 +42,3 @@ def flop_schedule(job: JobSpec, sites: Sequence) -> str:
         raise ValueError("site list must be nonempty")
     best = min(sites, key=lambda s: (-(s.node_power * s.idle_nodes), s.site_id))
     return best.site_id
-
-
-def sjf_order(jobs: Sequence[JobSpec]) -> List[JobSpec]:
-    """Ascending by processors required; ties by submit time then job id."""
-    return sorted(jobs, key=lambda j: (j.processors_required, j.submit_time, j.job_id))

@@ -7,13 +7,10 @@ simulated time throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-BYTES_PER_GB = 10**9
-BITS_PER_MBPS = 10**6
-FLOP_PER_MFLOP = 10**6
 
 
 class JobKind(str, Enum):
@@ -50,8 +47,8 @@ class UserProfile:
     quota: float  # jobs permitted per quota period, used as a static weight
 
     def __post_init__(self):
-        if self.quota <= 0:
-            raise ValueError(f"user {self.user_id}: quota must be > 0")
+        if not (math.isfinite(self.quota) and self.quota > 0):
+            raise ValueError(f"user {self.user_id}: quota must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,10 @@ class NetworkLink:
     background_load: float = 0.0  # fraction of bandwidth in [0, 1)
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be > 0")
-        if self.latency < 0:
-            raise ValueError("link latency must be >= 0")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("link bandwidth must be finite and > 0")
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise ValueError("link latency must be finite and >= 0")
         if not 0 <= self.background_load < 1:
             raise ValueError("link background_load must be in [0, 1)")
 
@@ -83,11 +80,11 @@ class RateEstimator:
     in that window; robust to burst arrivals (no per-event intervals).
     """
 
-    def __init__(self, alpha: float = 0.2, initial: float = 0.0):
+    def __init__(self, alpha: float = 0.2):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
-        self.value = initial
+        self.value = 0.0
 
     def update(self, count: int, window: float) -> float:
         if window <= 0:

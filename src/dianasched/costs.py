@@ -8,6 +8,7 @@ the schedulers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +25,9 @@ class CostWeights:
     w_n: float
 
     def __post_init__(self):
-        if self.w_c < 0 or self.w_d < 0 or self.w_n < 0:
-            raise ValueError("cost weights must be non-negative")
+        weights = (self.w_c, self.w_d, self.w_n)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("cost weights must be finite and non-negative")
         if self.w_c + self.w_d + self.w_n <= 0:
             raise ValueError("at least one cost weight must be positive")
 
@@ -38,14 +40,6 @@ PRESET_WEIGHTS = {
 }
 
 UNIT_WEIGHTS = CostWeights(1.0, 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    compute_cost: float  # seconds
-    transfer_cost: float  # seconds
-    network_cost: float  # dimensionless
-    total: float  # weighted aggregate, seconds
 
 
 def compute_cost(job: JobSpec, site) -> float:
@@ -81,7 +75,7 @@ def network_cost(link: Optional[NetworkLink],
 
 def total_cost(job: JobSpec, site, link: Optional[NetworkLink],
                weights: CostWeights,
-               b_ref: float = REFERENCE_BANDWIDTH) -> CostBreakdown:
+               b_ref: float = REFERENCE_BANDWIDTH) -> float:
     """Weighted aggregate of the three cost components for one candidate site.
 
     `link` is the path from the job's data site to the candidate (None when
@@ -90,5 +84,4 @@ def total_cost(job: JobSpec, site, link: Optional[NetworkLink],
     c = compute_cost(job, site)
     d = transfer_cost(job, job.data_site, site.site_id, link)
     n = network_cost(link, b_ref)
-    total = weights.w_c * c + weights.w_d * d + weights.w_n * n
-    return CostBreakdown(c, d, n, total)
+    return weights.w_c * c + weights.w_d * d + weights.w_n * n

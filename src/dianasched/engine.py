@@ -145,16 +145,14 @@ def workload_hash(jobs: List[Tuple[JobSpec, str]]) -> str:
 class RunResult:
     scenario: Scenario
     seed: int
-    jobs: Dict[str, JobRecord]
-    job_order: List[str]
+    jobs: Dict[str, JobRecord]  # in workload order
     trace: List[dict]
     messages: int
-    end_time: float
     utilization: Dict[str, float]
     workload_hash: str
 
     def records(self) -> List[JobRecord]:
-        return [self.jobs[j] for j in self.job_order]
+        return list(self.jobs.values())
 
     def count(self, status: JobStatus) -> int:
         return sum(1 for r in self.jobs.values() if r.status is status)
@@ -214,7 +212,6 @@ class Simulation:
         self.workload = generate_workload(scenario, seed)
         self.workload_digest = workload_hash(self.workload)
         self.jobs: Dict[str, JobRecord] = {}
-        self.job_order: List[str] = []
         self.pending = 0
         self.rr_cursor = 0
         self._idle_ticks = 0
@@ -241,7 +238,6 @@ class Simulation:
         for job, site in self.workload:
             rec = JobRecord(spec=job, submit_site=site)
             self.jobs[job.job_id] = rec
-            self.job_order.append(job.job_id)
             self.pending += 1
             self._at(job.submit_time, self._on_submit, rec)
         for fault in self.scenario.faults:
@@ -265,9 +261,8 @@ class Simulation:
             cap_seconds = site.node_count * horizon
             util[sid] = site.busy_node_seconds / cap_seconds if cap_seconds else 0.0
         return RunResult(scenario=self.scenario, seed=self.seed,
-                         jobs=self.jobs, job_order=self.job_order,
-                         trace=self.trace, messages=self.messages,
-                         end_time=self.now, utilization=util,
+                         jobs=self.jobs, trace=self.trace,
+                         messages=self.messages, utilization=util,
                          workload_hash=self.workload_digest)
 
     # -- job lifecycle -------------------------------------------------

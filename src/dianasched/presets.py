@@ -17,8 +17,6 @@ from __future__ import annotations
 from .core import JobKind, NetworkLink, UserProfile
 from .scenario import BurstDef, Scenario, SiteDef
 
-PRESET_NAMES = ("P1", "P2", "P3", "P4")
-
 
 def five_site_topology():
     """The five-site testbed: site1 has four nodes, the rest five each."""

@@ -7,8 +7,8 @@ load already queued.  That priority depends only on the job's owner and
 processor count, so it is kept once per (user, processors) class and
 recomputed for every class on each arrival and departure
 (reprioritization), which removes any need for aging.  Under `sjf` the
-queue serves the order of `baselines.sjf_order`, and under `fcfs` the
-order of arrival at the site.
+queue serves ascending processor counts, then submit time, then job id,
+and under `fcfs` the order of arrival at the site.
 
 Each class keeps its jobs in one list sorted by (submit time, job id).
 All jobs of a class share one rank: minus the class priority under
@@ -75,9 +75,6 @@ class MultilevelQueue:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self.jobs
-
     @property
     def quota_sum(self) -> float:
         return sum(self.users[u].quota for u in self._user_counts)
@@ -133,16 +130,12 @@ class MultilevelQueue:
         """A queued job's priority (priority discipline only)."""
         return self._class_priorities[_class_of(self.jobs[job_id])]
 
-    @property
-    def priorities(self) -> Dict[str, float]:
-        """Every queued job's priority, by job id (priority discipline only)."""
-        return {job_id: self.priority_of(job_id) for job_id in self.jobs}
-
     def ordered(self, limit: Optional[int] = None) -> List[JobSpec]:
         """The first `limit` queued jobs in service order (all by default).
 
         priority: descending priority, then submit time, then job id;
-        sjf: the order of `sjf_order`; fcfs: order of arrival at this site.
+        sjf: ascending processors, then submit time, then job id; fcfs:
+        order of arrival at this site.
         """
         if self.discipline is QueueDiscipline.FCFS:
             return list(islice(self.jobs.values(), limit))

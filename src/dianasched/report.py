@@ -158,6 +158,9 @@ def compare(summaries: Sequence[Dict[str, str]]) -> str:
     """
     if len(summaries) < 2:
         raise CompareError("need at least two summaries to compare")
+    for column in ["workload_hash", "scheduler", "queue"] + COMPARE_METRICS:
+        if any(s.get(column) is None for s in summaries):
+            raise CompareError(f"summary lacks the {column} column")
     hashes = {s["workload_hash"] for s in summaries}
     if len(hashes) != 1:
         raise CompareError(f"workload hash mismatch: {sorted(hashes)}")

@@ -78,7 +78,6 @@ class Scenario:
     migration_enabled: bool = True
     poll_interval: float = 30.0
     echo_interval: float = 60.0
-    echo_timeout: float = 5.0
     echo_retries: int = 1
     rate_interval: float = 10.0
     alpha: float = 0.2
@@ -97,7 +96,7 @@ class Scenario:
     def resolved_sites(self) -> List[SiteDef]:
         """Explicit sites plus the template expansion, in declaration order."""
         out = list(self.sites)
-        if self.site_template is not None and self.site_count > 0:
+        if self.site_template is not None:
             prefix = self.site_template.site_id
             out += [SiteDef(f"{prefix}{i:03d}", self.site_template.nodes,
                             self.site_template.power)
@@ -106,6 +105,8 @@ class Scenario:
 
     def validate(self) -> None:
         """Check the whole scenario; also covers scenarios built in code."""
+        if self.site_count and self.site_template is None:
+            raise ScenarioError("site_count needs a site_template")
         ids = [s.site_id for s in self.resolved_sites()]
         if not ids:
             raise ScenarioError("scenario defines no sites")
@@ -152,12 +153,12 @@ _SETTING_RANGES = {
     "migration_cutoff": (lambda v: True, "finite"),
     "poll_interval": (lambda v: v > 0, "finite and > 0"),
     "echo_interval": (lambda v: v > 0, "finite and > 0"),
-    "echo_timeout": (lambda v: v >= 0, "finite and >= 0"),
     "echo_retries": (lambda v: v >= 1, ">= 1"),
     "rate_interval": (lambda v: v > 0, "finite and > 0"),
     "alpha": (lambda v: 0 < v <= 1, "finite and in (0, 1]"),
     "b_ref": (lambda v: v > 0, "finite and > 0"),
     "duration_cap": (lambda v: v >= 0, "finite and >= 0"),
+    "site_count": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -177,7 +178,6 @@ _SCALAR_KEYS = {
     "migration_enabled": _parse_bool,
     "poll_interval": float,
     "echo_interval": float,
-    "echo_timeout": float,
     "echo_retries": int,
     "rate_interval": float,
     "alpha": float,
@@ -228,12 +228,17 @@ def parse_scenario(text: str) -> Scenario:
     from .presets import scenario_preset  # late import, presets build Scenarios
 
     scenario = Scenario()
+    first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         key, args = parts[0], parts[1:]
+        if key == "preset" and not first:
+            # A preset replaces the whole scenario built so far.
+            raise ScenarioError(f"line {lineno}: preset must be the first statement")
+        first = False
         try:
             if key in _SCALAR_KEYS:
                 if len(args) != 1:
@@ -312,7 +317,7 @@ def serialize_scenario(s: Scenario) -> str:
     lines.append(f"scheduler {s.scheduler.value}")
     lines.append(f"queue {s.queue.value}")
     for key in ("thrs", "migration_cutoff", "poll_interval", "echo_interval",
-                "echo_timeout", "rate_interval", "alpha", "b_ref", "duration_cap"):
+                "rate_interval", "alpha", "b_ref", "duration_cap"):
         lines.append(f"{key} {_fmt(getattr(s, key))}")
     lines.append(f"batch_size {s.batch_size}")
     lines.append(f"echo_retries {s.echo_retries}")

@@ -8,12 +8,12 @@ kept local when no peer is strictly better on both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import JobSpec, Topology, UnreachableSiteError
-from .costs import (CostBreakdown, CostWeights, PRESET_WEIGHTS,
-                    REFERENCE_BANDWIDTH, UNIT_WEIGHTS, total_cost)
+from .costs import (CostWeights, PRESET_WEIGHTS, REFERENCE_BANDWIDTH,
+                    UNIT_WEIGHTS, total_cost)
 
 
 class UnschedulableError(Exception):
@@ -56,10 +56,8 @@ class PeerSnapshot:
 
 @dataclass
 class SchedulingDecision:
-    job_id: str
     chosen_site: str
-    cost: CostBreakdown
-    alternatives: List[Tuple[str, float]] = field(default_factory=list)
+    alternatives: List[Tuple[str, float]]  # (site, total), best first
 
 
 def classify(job: JobSpec, overrides=None) -> CostWeights:
@@ -90,21 +88,17 @@ def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot],
     for cand in feasible:
         try:
             link = topology.link_between(job.data_site, cand.site_id)
-            cost = total_cost(job, cand, link, weights, b_ref)
+            total = total_cost(job, cand, link, weights, b_ref)
         except UnreachableSiteError:
             continue
-        scored.append((cost.total, cand.backlog, cand.site_id, cost))
+        scored.append((total, cand.backlog, cand.site_id))
     if not scored:
         raise UnreachableSiteError(
             f"job {job.job_id}: data at {job.data_site} cannot reach any site")
-    scored.sort(key=lambda s: s[:3])
-    total, _, site_id, cost = scored[0]
+    scored.sort()  # site ids are unique, so no comparison goes further
     return SchedulingDecision(
-        job_id=job.job_id,
-        chosen_site=site_id,
-        cost=cost,
-        alternatives=[(s[2], s[0]) for s in scored],
-    )
+        chosen_site=scored[0][2],
+        alternatives=[(site_id, total) for total, _, site_id in scored])
 
 
 def batch_cost(batch: Sequence[JobSpec], site, topology: Topology,
@@ -113,7 +107,7 @@ def batch_cost(batch: Sequence[JobSpec], site, topology: Topology,
     acc = 0.0
     for job in batch:
         link = topology.link_between(job.data_site, site.site_id)
-        acc += total_cost(job, site, link, UNIT_WEIGHTS, b_ref).total
+        acc += total_cost(job, site, link, UNIT_WEIGHTS, b_ref)
     return acc
 
 

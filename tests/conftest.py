@@ -21,3 +21,14 @@ def mk_site(site_id="s1", nodes=5, power=1.0, backlog=0,
 
 def mk_users(**quotas):
     return {name: UserProfile(name, q) for name, q in quotas.items()}
+
+
+def sjf_order(jobs):
+    """Reference SJF order: processors required, then submit time, then id."""
+    return sorted(jobs, key=lambda j: (j.processors_required, j.submit_time,
+                                       j.job_id))
+
+
+def priorities(queue):
+    """Every queued job's priority by job id (priority discipline only)."""
+    return {job_id: queue.priority_of(job_id) for job_id in queue.jobs}

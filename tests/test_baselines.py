@@ -5,8 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from dianasched.baselines import flop_schedule, rr_schedule, sjf_order
-from conftest import mk_job
+from dianasched.baselines import QueueDiscipline, flop_schedule, rr_schedule
+from dianasched.queueing import MultilevelQueue
+from conftest import mk_job, mk_users
 
 
 @dataclass
@@ -65,21 +66,29 @@ class TestFlopGreedy:
             flop_schedule(mk_job(), [])
 
 
+def sjf_served(jobs):
+    """The jobs in the order a site queue under `sjf` serves them."""
+    queue = MultilevelQueue(mk_users(u1=1.0), QueueDiscipline.SJF)
+    for job in jobs:
+        queue.enqueue(job)
+    return queue.ordered()
+
+
 class TestQueueOrders:
     def test_sjf_sorts_by_processor_need(self):
         jobs = [mk_job(job_id="a", procs=8), mk_job(job_id="b", procs=2),
                 mk_job(job_id="c", procs=5)]
-        assert [j.job_id for j in sjf_order(jobs)] == ["b", "c", "a"]
+        assert [j.job_id for j in sjf_served(jobs)] == ["b", "c", "a"]
 
     def test_sjf_equal_need_preserves_submit_order(self):
         jobs = [mk_job(job_id="a", procs=3, submit=2.0),
                 mk_job(job_id="b", procs=3, submit=1.0),
                 mk_job(job_id="c", procs=3, submit=1.0)]
-        assert [j.job_id for j in sjf_order(jobs)] == ["b", "c", "a"]
+        assert [j.job_id for j in sjf_served(jobs)] == ["b", "c", "a"]
 
     def test_sjf_single_job(self):
         jobs = [mk_job(job_id="solo", procs=4)]
-        assert sjf_order(jobs) == jobs
+        assert sjf_served(jobs) == jobs
 
     def test_sjf_minimizes_mean_wait_exhaustively(self):
         # On a single sequential machine whose service time grows with the
@@ -102,4 +111,4 @@ class TestQueueOrders:
             jobs = [mk_job(job_id=f"j{i}", procs=p)
                     for i, p in enumerate(needs)]
             best = min(mean_wait(p) for p in permutations(jobs))
-            assert mean_wait(sjf_order(jobs)) == pytest.approx(best)
+            assert mean_wait(sjf_served(jobs)) == pytest.approx(best)

@@ -60,7 +60,8 @@ class TestRun:
 class TestDiagnostics:
     """Bad numbers end in exit 2 and one line naming the line, not a traceback.
 
-    Covers burst and fault numbers, site values and scalar settings.
+    Covers burst and fault numbers, site, link, user and weight values,
+    and scalar settings.
     """
 
     @pytest.mark.parametrize("line,field", [
@@ -91,10 +92,19 @@ class TestDiagnostics:
         ("site s3 nodes=1 power=inf", "power"),
         ("site_template prefix=t nodes=0 power=1", "nodes"),
         ("site_template prefix=t nodes=1 power=nan", "power"),
+        ("link s1 s2 bandwidth=inf", "bandwidth"),
+        ("link s1 s2 bandwidth=nan", "bandwidth"),
+        ("link s1 s2 bandwidth=10 latency=nan", "latency"),
+        ("default_link bandwidth=inf", "bandwidth"),
+        ("default_link bandwidth=10 latency=inf", "latency"),
+        ("default_link bandwidth=10 load=nan", "load"),
+        ("user v quota=nan", "quota"),
+        ("user v quota=inf", "quota"),
+        ("weights mixed nan 1 1", "weights"),
+        ("weights compute_intensive 1 1 inf", "weights"),
         ("thrs 1.5", "thrs"),
         ("poll_interval nan", "poll_interval"),
         ("migration_cutoff nan", "migration_cutoff"),
-        ("echo_timeout nan", "echo_timeout"),
         ("duration_cap nan", "duration_cap"),
         ("duration_cap -3", "duration_cap"),
         ("rate_interval inf", "rate_interval")])
@@ -107,6 +117,30 @@ class TestDiagnostics:
         assert code == 2
         assert err.count("\n") == 1
         assert err.startswith("error: line 6: ") and field in err
+
+    # Deleted settings stay rejected rather than silently ignored.
+    @pytest.mark.parametrize("line", ["echo_timeout nan", "echo_timeout 5",
+                                      "bands 0.5 0"])
+    def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(SCENARIO.lstrip() + line + "\n")
+        code = main(["run", "--scenario", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line 6: unknown key {line.split()[0]!r}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_rejects_non_finite_bandwidth(self, scenario_file, tmp_path,
+                                                capsys, value):
+        code = main(["sweep", "--scenario", scenario_file, "--axis",
+                     "bandwidth", "--values", value, "--seed", "1",
+                     "--out", str(tmp_path / "sweep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "bandwidth" in err
+        assert not (tmp_path / "sweep" / "summary.csv").exists()
 
     def test_simulation_error_exits_2(self, scenario_file, tmp_path, capsys,
                                       monkeypatch):
@@ -132,6 +166,25 @@ class TestSweepAndCompare:
         assert code == 0
         table = capsys.readouterr().out
         assert "mean_queue_time ratio" in table
+
+    @pytest.mark.parametrize("column", ["workload_hash", "mean_exec_time"])
+    def test_compare_names_a_missing_column(self, scenario_file, tmp_path,
+                                            capsys, column):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", scenario_file, "--seed", "2",
+                     "--out", str(out)]) == 0
+        # Two copies of a real summary row with one column cut out.
+        header, row = ((out / "summary.csv").read_text().splitlines())
+        drop = header.split(",").index(column)
+        header, row = (",".join(c for i, c in enumerate(line.split(","))
+                                if i != drop) for line in (header, row))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row}\n{row}\n")
+        capsys.readouterr()
+        code = main(["compare", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: summary lacks the {column} column\n")
 
     def test_sweep_rejects_empty_values(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", "--scenario", scenario_file, "--axis",

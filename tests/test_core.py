@@ -1,9 +1,10 @@
-"""Domain types, unit conversions and the network primitives."""
+"""Domain types and the network primitives."""
 
 import pytest
 
 from dianasched.core import (NetworkLink, RateEstimator, Topology,
-                             UnreachableSiteError, available_bandwidth)
+                             UnreachableSiteError, UserProfile,
+                             available_bandwidth)
 from conftest import mk_job
 
 
@@ -56,6 +57,21 @@ class TestNetworkLink:
         with pytest.raises(ValueError, match="latency"):
             NetworkLink("a", "b", 100.0, latency=-1.0)
 
+    @pytest.mark.parametrize("field", ["bandwidth", "latency",
+                                       "background_load"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_values(self, field, value):
+        values = {"bandwidth": 100.0, field: float(value)}
+        with pytest.raises(ValueError, match=field):
+            NetworkLink("a", "b", **values)
+
+
+class TestUserProfile:
+    @pytest.mark.parametrize("quota", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_quota(self, quota):
+        with pytest.raises(ValueError, match="quota must be finite and > 0"):
+            UserProfile("u", quota)
+
 
 class TestRateEstimator:
     def test_first_update_from_zero(self):
@@ -63,14 +79,16 @@ class TestRateEstimator:
         assert est.update(10, 10.0) == pytest.approx(0.2)
 
     def test_smoothing_sequence(self):
-        est = RateEstimator(alpha=0.5, initial=1.0)
+        est = RateEstimator(alpha=0.5)
+        est.value = 1.0
         est.update(0, 1.0)
         assert est.value == pytest.approx(0.5)
         est.update(2, 1.0)
         assert est.value == pytest.approx(1.25)
 
     def test_alpha_one_tracks_instantaneous_rate(self):
-        est = RateEstimator(alpha=1.0, initial=7.0)
+        est = RateEstimator(alpha=1.0)
+        est.value = 7.0
         assert est.update(3, 2.0) == pytest.approx(1.5)
 
     def test_rejects_bad_alpha(self):

@@ -78,28 +78,43 @@ class TestTotalCost:
         job = mk_job(demand=3.0, data=10 * GB, data_site="s1")
         site = mk_site("s2", nodes=1, power=1.0)
         link = NetworkLink("s1", "s2", 1000.0)
-        out = total_cost(job, site, link, CostWeights(1, 1, 0))
-        assert out.compute_cost == pytest.approx(3.0)
-        assert out.transfer_cost == pytest.approx(80.0)
-        assert out.total == pytest.approx(83.0)
+        assert compute_cost(job, site) == pytest.approx(3.0)
+        assert transfer_cost(job, "s1", "s2", link) == pytest.approx(80.0)
+        assert total_cost(job, site, link, CostWeights(1, 1, 0)) == \
+            pytest.approx(83.0)
 
     def test_compute_only_projection(self):
         job = mk_job(demand=7.0, data=10 * GB, data_site="s1")
         site = mk_site("s2", nodes=1, power=1.0)
         link = NetworkLink("s1", "s2", 1000.0)
-        out = total_cost(job, site, link, CostWeights(1, 0, 0))
-        assert out.total == pytest.approx(out.compute_cost)
+        assert total_cost(job, site, link, CostWeights(1, 0, 0)) == \
+            pytest.approx(compute_cost(job, site))
 
     def test_zero_job_colocated_idle_site_is_free(self):
         job = mk_job(demand=0.0, data=0.0, data_site="s1")
-        out = total_cost(job, mk_site("s1"), None, CostWeights(1, 1, 1))
-        assert out.total == 0.0
+        assert total_cost(job, mk_site("s1"), None, CostWeights(1, 1, 1)) == 0.0
+
+    def test_total_is_the_weighted_sum_in_declared_order(self):
+        # Bit-for-bit: placements compare these floats exactly.
+        job = mk_job(demand=7.0, data=3 * GB, data_site="s1")
+        site = mk_site("s2", nodes=3, power=1.3, backlog=4, service=0.7)
+        link = NetworkLink("s1", "s2", 333.0, latency=0.1, background_load=0.3)
+        w = CostWeights(0.3, 0.7, 0.11)
+        c = compute_cost(job, site)
+        d = transfer_cost(job, "s1", "s2", link)
+        n = network_cost(link)
+        assert total_cost(job, site, link, w) == w.w_c * c + w.w_d * d + w.w_n * n
 
 
 class TestWeights:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             CostWeights(1, -0.1, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CostWeights(1, bad, 0)
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):

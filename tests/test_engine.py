@@ -34,7 +34,9 @@ class TestBasics:
         result = run_scenario(one_site_scenario([]), seed=1)
         assert result.jobs == {}
         assert result.messages == 0
-        assert result.end_time == 0.0
+        summary = result.summary()
+        assert summary["makespan"] == 0.0
+        assert summary["mean_utilization"] == 0.0
 
     def test_single_job_completes_at_service_time(self):
         result = run_scenario(one_site_scenario([burst(demand=3.0)]), seed=1)

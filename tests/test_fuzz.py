@@ -32,7 +32,6 @@ SETTINGS = {
     "migration_enabled": (["true", "no"], ["flase"]),
     "poll_interval": (["1", "5", "30"], ["0"]),
     "echo_interval": (["10", "60"], ["0"]),
-    "echo_timeout": (["0", "5"], []),
     "echo_retries": (["1", "2"], ["0"]),
     "rate_interval": (["5", "10"], ["0"]),
     "alpha": (["0.2", "1"], ["0"]),
@@ -40,6 +39,15 @@ SETTINGS = {
     "duration_cap": (["0", "40"], []),
 }
 KINDS = ["mixed", "compute_intensive", "data_intensive"]
+
+# Good and bad values of record fields.
+NODES = (["1", "2", "4"], ["0", "-1"])
+POWER = (["0.5", "1", "2"], BAD_NUMBERS + ["0"])
+BANDWIDTH = (["10", "1000"], BAD_NUMBERS + ["0"])
+LATENCY = (["0", "0.5"], BAD_NUMBERS)
+LOAD = (["0", "0.5"], BAD_NUMBERS + ["1"])
+QUOTA = (["0.5", "1", "3"], BAD_NUMBERS + ["0"])
+WEIGHT = (["0", "0.5", "1"], BAD_NUMBERS)
 
 
 @st.composite
@@ -51,19 +59,27 @@ def scenario_text(draw):
     def pick(good, bad=()):
         return draw(st.sampled_from(list(good) + (list(bad) if faulty else [])))
 
+    def link_fields():
+        return (f"bandwidth={pick(*BANDWIDTH)} latency={pick(*LATENCY)}"
+                f" load={pick(*LOAD)}")
+
     sites = SITE_IDS[:draw(st.integers(2, 3))]
     users = USER_IDS[:draw(st.integers(1, 2))]
-    nodes = (["1", "2", "4"], ["0", "-1"])
-    power = (["0.5", "1", "2"], BAD_NUMBERS + ["0"])
-    lines = [f"site {s} nodes={pick(*nodes)} power={pick(*power)}" for s in sites]
-    if draw(st.booleans()):
-        lines += [f"site_template prefix=t nodes={pick(*nodes)} power={pick(*power)}",
-                  f"site_count {draw(st.integers(0, 2))}"]
+    lines = [f"site {s} nodes={pick(*NODES)} power={pick(*POWER)}" for s in sites]
+    template = draw(st.booleans())
+    if template:
+        lines.append(f"site_template prefix=t nodes={pick(*NODES)}"
+                     f" power={pick(*POWER)}")
+    if template or (faulty and draw(st.booleans())):
+        lines.append(f"site_count {pick(['0', '1', '2'], ['-1'])}")
     if draw(st.integers(0, 4)):  # without a default link, most pairs are unreachable
-        lines.append(f"default_link bandwidth={pick(['10', '1000'])}")
+        lines.append(f"default_link {link_fields()}")
     if draw(st.booleans()):
-        lines.append("link s1 s2 bandwidth=100 latency=0.5")
-    lines += [f"user {u} quota={pick(['0.5', '1', '3'])}" for u in users]
+        lines.append(f"link s1 s2 {link_fields()}")
+    lines += [f"user {u} quota={pick(*QUOTA)}" for u in users]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"weights {pick(KINDS)} {pick(*WEIGHT)} {pick(*WEIGHT)}"
+                     f" {pick(*WEIGHT)}")
     for _ in range(draw(st.integers(1, 4))):
         lines.append(
             f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
@@ -83,7 +99,12 @@ def scenario_text(draw):
         if _SCALAR_KEYS[key] is float:
             bad = bad + BAD_NUMBERS
         lines.append(f"{key} {pick(good, bad)}")
-    return "\n".join(draw(st.permutations(lines))) + "\n"
+    lines = draw(st.permutations(lines))
+    if draw(st.integers(0, 7)) == 3:
+        # A preset anywhere but first would discard the lines above it.
+        lines.insert(draw(st.integers(1, len(lines))),
+                     f"preset {pick(['P1', 'P2', 'P3', 'P4'])}")
+    return "\n".join(lines) + "\n"
 
 
 def _run(text):

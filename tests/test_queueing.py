@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dianasched.baselines import QueueDiscipline, sjf_order
+from dianasched.baselines import QueueDiscipline
 from dianasched.core import UserProfile
 from dianasched.queueing import (DuplicateJobError, MultilevelQueue,
                                  congestion_ratio, is_congested, priority)
-from conftest import mk_job, mk_users
+from conftest import mk_job, mk_users, priorities, sjf_order
 
 
 def scratch_priorities(users, jobs):
@@ -93,14 +93,14 @@ class TestMultilevelQueue:
         for i in range(3):
             q.enqueue(mk_job(job_id=f"j{i}", user="u1", procs=1))
         # N = q*T/(Q*t) = 3, n = 3 for every job.
-        assert all(p == 0.0 for p in q.priorities.values())
+        assert all(p == 0.0 for p in priorities(q).values())
 
     def test_two_users_quota_ordering(self):
         q = MultilevelQueue(mk_users(a=3.0, b=1.0))
         q.enqueue(mk_job(job_id="ja", user="a", procs=1))
         q.enqueue(mk_job(job_id="jb", user="b", procs=1))
-        assert q.priorities["ja"] == pytest.approx(1 / 3)
-        assert q.priorities["jb"] == pytest.approx(-0.5)
+        assert priorities(q)["ja"] == pytest.approx(1 / 3)
+        assert priorities(q)["jb"] == pytest.approx(-0.5)
         assert [j.job_id for j in q.ordered()] == ["ja", "jb"]
 
     def test_second_user_shifts_aggregates(self):
@@ -108,10 +108,10 @@ class TestMultilevelQueue:
         q = MultilevelQueue(users)
         for i in range(4):
             q.enqueue(mk_job(job_id=f"j{i}", user="u1", procs=1))
-        assert all(p == 0.0 for p in q.priorities.values())
+        assert all(p == 0.0 for p in priorities(q).values())
         q.enqueue(mk_job(job_id="big", user="u2", procs=8))
         jobs = list(q.jobs.values())
-        assert q.priorities == pytest.approx(scratch_priorities(users, jobs))
+        assert priorities(q) == pytest.approx(scratch_priorities(users, jobs))
 
     def test_duplicate_enqueue_rejected(self):
         q = MultilevelQueue(mk_users(u1=1.0))
@@ -132,7 +132,7 @@ class TestMultilevelQueue:
         q.enqueue(mk_job(job_id="j3", user="b"))
         removed = q.remove("j2")
         assert removed.job_id == "j2"
-        assert q.priorities == pytest.approx(
+        assert priorities(q) == pytest.approx(
             scratch_priorities(users, list(q.jobs.values())))
 
 
@@ -151,7 +151,7 @@ def _one_job_per_user(**quotas):
 class TestQueueViews:
     def test_jobs_ahead_counts_strictly_higher(self):
         q = _one_job_per_user(a=3.0, b=2.0, c=1.0)
-        assert list(q.priorities.values()) == pytest.approx([1 / 3, 0.0, -0.5])
+        assert list(priorities(q).values()) == pytest.approx([1 / 3, 0.0, -0.5])
         assert q.jobs_ahead(0.1) == 1
 
     def test_jobs_ahead_probe_below_all(self):
@@ -163,14 +163,14 @@ class TestQueueViews:
 
     def test_migration_candidates_lowest_first(self):
         q = _one_job_per_user(a=9.0, b=4.0, c=2.0, d=1.0)
-        assert list(q.priorities.values()) == pytest.approx(
+        assert list(priorities(q).values()) == pytest.approx(
             [5 / 9, 0.0, -0.5, -0.75])
         assert q.migration_candidates(batch_size=1, cutoff=0.0) == ["j3"]
         assert q.migration_candidates(batch_size=10, cutoff=0.0) == ["j3", "j2"]
 
     def test_no_candidates_when_all_nonnegative(self):
         q = _one_job_per_user(a=1.0, b=1.0, c=1.0)
-        assert list(q.priorities.values()) == [0.0, 0.0, 0.0]
+        assert list(priorities(q).values()) == [0.0, 0.0, 0.0]
         assert q.migration_candidates(batch_size=5, cutoff=0.0) == []
 
     def test_empty_queue_no_candidates(self):
@@ -178,7 +178,7 @@ class TestQueueViews:
 
     def test_candidate_cutoff_is_strict(self):
         q = _one_job_per_user(a=1.0)
-        assert q.priorities == {"j0": 0.0}
+        assert priorities(q) == {"j0": 0.0}
         assert q.migration_candidates(batch_size=10, cutoff=0.0) == []
         assert q.migration_candidates(batch_size=10, cutoff=0.1) == ["j0"]
 
@@ -227,7 +227,7 @@ class TestQueueOracle:
                 q.enqueue(job)
                 live.append(job.job_id)
             expect = scratch_priorities(users, list(q.jobs.values()))
-            assert q.priorities == pytest.approx(expect)
+            assert priorities(q) == pytest.approx(expect)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -246,7 +246,7 @@ class TestQueueOracle:
         for j in shuffled:
             q2.enqueue(j)
         assert [j.job_id for j in q1.ordered()] == [j.job_id for j in q2.ordered()]
-        assert q1.priorities == pytest.approx(q2.priorities)
+        assert priorities(q1) == pytest.approx(priorities(q2))
 
 
 class TestServiceOrderOracle:
@@ -297,7 +297,7 @@ class TestServiceOrderOracle:
             assert q.ordered(1) == expect[:1]
             if discipline is not QueueDiscipline.PRIORITY_MULTIQUEUE:
                 continue
-            assert q.priorities == pytest.approx(
+            assert priorities(q) == pytest.approx(
                 scratch_priorities(users, list(q.jobs.values())))
             batch = data.draw(st.integers(1, 5))
             cutoff = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 1.5]))

@@ -7,11 +7,12 @@ import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
-from dianasched.presets import PRESET_NAMES, scenario_preset
+from dianasched.presets import scenario_preset
 from dianasched.scenario import (_SCALAR_KEYS, Scenario, ScenarioError,
                                  parse_scenario, serialize_scenario)
 
 FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
+PRESET_NAMES = ("P1", "P2", "P3", "P4")
 
 MINIMAL = """
 site s1 nodes=2 power=1.0
@@ -21,8 +22,8 @@ burst time=0 user=alice site=s1 count=1 demand=5 procs=1 data_site=s1
 
 FLOAT_KEYS = [k for k, parse in _SCALAR_KEYS.items() if parse is float]
 OUT_OF_RANGE = ["thrs 1.5", "thrs -0.1", "batch_size 0", "echo_interval 0",
-                "echo_timeout -1", "echo_retries 0", "b_ref -1", "b_ref 0",
-                "alpha 0", "alpha 1.5", "duration_cap -3"]
+                "echo_retries 0", "b_ref -1", "b_ref 0", "alpha 0",
+                "alpha 1.5", "duration_cap -3", "site_count -4"]
 OUT_OF_RANGE += [f"{key} {value}" for key in FLOAT_KEYS
                  for value in ("nan", "inf", "-inf")
                  if f"{key} {value}" not in OUT_OF_RANGE]
@@ -88,6 +89,12 @@ class TestParsing:
         assert len(s.bursts) == 200
         assert s.sites[0].site_id == "site1"
 
+    def test_preset_after_a_statement_rejected(self):
+        # It would silently discard every statement before it.
+        with pytest.raises(ScenarioError,
+                           match="^line 3: preset must be the first statement"):
+            parse_scenario("# header\nthrs 0.9\npreset P1\n")
+
     def test_links_and_users_are_core_types(self):
         s = parse_scenario("default_link bandwidth=100 latency=0.5 load=0.25\n"
                            "site s2 nodes=1 power=1\n"
@@ -152,6 +159,21 @@ class TestValidation:
         key = line.split()[0]
         with pytest.raises(ScenarioError, match=f"^line 2: {key} must be"):
             parse_scenario("# header\n" + line + "\n" + MINIMAL)
+
+    # Deleted settings stay rejected rather than silently ignored.
+    @pytest.mark.parametrize("line", [
+        "echo_timeout -1", "echo_timeout nan", "echo_timeout inf",
+        "echo_timeout -inf", "echo_timeout 5", "bands 0.5 0"])
+    def test_deleted_setting_is_unknown_key(self, line):
+        key = line.split()[0]
+        with pytest.raises(ScenarioError,
+                           match=f"^line 2: unknown key '{key}'$"):
+            parse_scenario("# header\n" + line + "\n" + MINIMAL)
+
+    def test_site_count_needs_a_template(self):
+        with pytest.raises(ScenarioError,
+                           match="^site_count needs a site_template$"):
+            parse_scenario("site_count 3\n" + MINIMAL)
 
     @pytest.mark.parametrize("key,value", [("thrs", 1.5), ("alpha", 0.0),
                                            ("poll_interval", float("nan")),

@@ -52,13 +52,14 @@ class TestSchedule:
         peer_b = snap("b", nodes=1, power=80 / 89)   # 89 + network 1 = 90
         decision = schedule(job, local, [peer_a, peer_b], topo)
         assert decision.chosen_site == "a"
-        assert decision.cost.total == pytest.approx(40.0)
+        assert decision.alternatives[0][0] == "a"
+        assert decision.alternatives[0][1] == pytest.approx(40.0)
         # Agreement with a brute-force scan over the same candidates.
         weights = classify(job)
         totals = {}
         for cand in (local, peer_a, peer_b):
             link = topo.link_between(job.data_site, cand.site_id)
-            totals[cand.site_id] = total_cost(job, cand, link, weights).total
+            totals[cand.site_id] = total_cost(job, cand, link, weights)
         assert decision.chosen_site == min(sorted(totals), key=totals.get)
 
     def test_data_gravity_pulls_data_intensive_jobs(self):
@@ -180,7 +181,6 @@ class TestMigrateBatch:
                 for i in range(3)]
         site = mk_site("a", power=2.0, service=1.0)
         expect = sum(
-            total_cost(j, site, topo.link_between("home", "a"),
-                       UNIT_WEIGHTS).total
+            total_cost(j, site, topo.link_between("home", "a"), UNIT_WEIGHTS)
             for j in jobs)
         assert batch_cost(jobs, site, topo) == pytest.approx(expect)
