@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from .engine import SimulationError, run_scenario
-from .report import (SWEEP_AXES, CompareError, compare, read_csv, run_sweep,
-                     write_run)
+from .report import (SWEEP_AXES, CompareError, compare, read_summaries,
+                     run_sweep, write_run)
 from .scenario import ScenarioError, parse_scenario
 
 
@@ -62,10 +62,7 @@ def main(argv=None) -> int:
                       args.seed, args.out)
             print(f"wrote {len(values)} sweep point(s) to {args.out}/summary.csv")
         elif args.command == "compare":
-            rows = []
-            for path in args.summaries:
-                rows.extend(read_csv(path))
-            print(compare(rows), end="")
+            print(compare(read_summaries(args.summaries)), end="")
     except (ScenarioError, SimulationError, CompareError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,18 +42,6 @@ PRESET_WEIGHTS = {
 UNIT_WEIGHTS = CostWeights(1.0, 1.0, 1.0)
 
 
-def compute_cost(job: JobSpec, site) -> float:
-    """Service time on `site` plus the estimated wait behind its queues.
-
-    `site` needs node_count, node_power, service_rate and backlog; the
-    engine's SiteRuntime (the local site) and a PeerSnapshot both qualify.
-    """
-    effective = site.node_power * min(job.processors_required, site.node_count)
-    service = job.compute_demand / effective if job.compute_demand else 0.0
-    delay = site.backlog / max(site.service_rate, EPSILON)
-    return service + delay
-
-
 def transfer_cost(job: JobSpec, source: str, dest: str,
                   link: Optional[NetworkLink]) -> float:
     """Seconds to move the job's input data from `source` to `dest`."""
@@ -65,23 +53,32 @@ def transfer_cost(job: JobSpec, source: str, dest: str,
     return link.latency + bits / (available_bandwidth(link) * 1e6)
 
 
-def network_cost(link: Optional[NetworkLink],
-                 b_ref: float = REFERENCE_BANDWIDTH) -> float:
-    """Reference bandwidth over available bandwidth; 0 for intra-site."""
-    if link is None:
-        return 0.0
-    return b_ref / available_bandwidth(link)
-
-
-def total_cost(job: JobSpec, site, link: Optional[NetworkLink],
-               weights: CostWeights,
+def total_cost(job: JobSpec, site, backlog: float,
+               link: Optional[NetworkLink], weights: CostWeights,
                b_ref: float = REFERENCE_BANDWIDTH) -> float:
-    """Weighted aggregate of the three cost components for one candidate site.
+    """Weighted aggregate cost of running `job` at one candidate site.
 
-    `link` is the path from the job's data site to the candidate (None when
-    co-located).  Raises UnreachableSiteError when data cannot be staged.
+    The compute term is the service time on `site` plus the wait behind
+    its `backlog` jobs at the site's service rate; `site` needs site_id,
+    node_count, node_power and service_rate, which the engine's
+    SiteRuntime (the local site) and a PeerSnapshot both have.  The data
+    term is the staging time over `link`, the path from the job's data
+    site to the candidate (None when co-located), and the network term
+    is the reference bandwidth over its available bandwidth.  The sum is
+    `w_c*c + w_d*d + w_n*n` in that association: placements compare
+    these floats exactly.
     """
-    c = compute_cost(job, site)
-    d = transfer_cost(job, job.data_site, site.site_id, link)
-    n = network_cost(link, b_ref)
+    # The conditionals give exactly min(need, nodes) and max(rate,
+    # EPSILON), without two builtin calls per candidate.
+    need = job.processors_required
+    nodes = site.node_count
+    rate = site.service_rate
+    effective = site.node_power * (nodes if nodes < need else need)
+    c = ((job.compute_demand / effective if job.compute_demand else 0.0)
+         + backlog / (EPSILON if EPSILON > rate else rate))
+    if link is None:
+        d = n = 0.0
+    else:
+        d = transfer_cost(job, job.data_site, site.site_id, link)
+        n = b_ref / available_bandwidth(link)
     return weights.w_c * c + weights.w_d * d + weights.w_n * n

@@ -312,7 +312,7 @@ class Simulation:
             self._maybe_poll(site)
             peers = self._peer_estimates(site)
             try:
-                decision = schedule(job, site, peers, self.topology,
+                decision = schedule(job, site, peers, self.now, self.topology,
                                     b_ref=self.scenario.b_ref,
                                     weight_overrides=self.scenario.weights)
             except UnschedulableError:
@@ -419,10 +419,14 @@ class Simulation:
         self._trace("poll", site=site.site_id, peers=len(site.snapshots))
 
     def _peer_estimates(self, site: SiteRuntime) -> List[PeerSnapshot]:
-        """Fresh snapshots of peers the registry still considers alive."""
+        """Fresh snapshots of peers the registry still considers alive.
+
+        They come in poll order; `schedule` and `migrate_batch` rank
+        candidates by keys that end in the site id, so order never
+        decides.
+        """
         horizon = 2 * self.scenario.poll_interval
-        return [snap.as_of(self.now)
-                for sid, snap in sorted(site.snapshots.items())
+        return [snap for sid, snap in site.snapshots.items()
                 if self.now - snap.snapshot_time <= horizon
                 and self.registry.is_alive(sid)]
 
@@ -465,7 +469,7 @@ class Simulation:
             return
         batch = [site.queue.jobs[c] for c in cands]
         local_ahead = site.queue.jobs_ahead(ref_pr)
-        target = migrate_batch(batch, site, local_ahead, peers,
+        target = migrate_batch(batch, site, local_ahead, peers, self.now,
                                self.topology, self.scenario.b_ref)
         if target is None:
             self._trace("migration_stay_local", site=site.site_id,

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .baselines import QueueDiscipline, SchedulerKind
 from .engine import RunResult, run_scenario
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 JOBS_COLUMNS = ["job_id", "user", "site", "submit", "scheduled", "started",
                 "completed", "queue_time", "exec_time", "migrations", "status"]
@@ -102,25 +102,32 @@ def write_run(result: RunResult, out_dir: str) -> Dict[str, str]:
 
 
 def apply_axis(scenario: Scenario, axis: str, value: str) -> Scenario:
-    """Return a copy of the scenario with one sweep axis applied."""
-    out = copy.deepcopy(scenario)
-    if axis == "bandwidth":
-        bw = float(value)
-        if out.default_link is not None:
-            out.default_link = dataclasses.replace(out.default_link, bandwidth=bw)
-        out.links = [dataclasses.replace(l, bandwidth=bw) for l in out.links]
-    elif axis == "sites":
-        if out.site_template is None:
-            raise ValueError("sites axis needs a site_template in the scenario")
-        out.site_count = int(value)
-    elif axis == "scheduler":
-        out.scheduler = SchedulerKind(value)
-        if (out.scheduler is not SchedulerKind.DIANA
-                and out.queue is QueueDiscipline.PRIORITY_MULTIQUEUE):
-            out.queue = QueueDiscipline.FCFS
-    else:
+    """Return a copy of the scenario with one sweep axis applied.
+
+    A value the axis cannot take raises ScenarioError naming both.
+    """
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
-    out.validate()
+    out = copy.deepcopy(scenario)
+    try:
+        if axis == "bandwidth":
+            bw = float(value)
+            if out.default_link is not None:
+                out.default_link = dataclasses.replace(out.default_link,
+                                                       bandwidth=bw)
+            out.links = [dataclasses.replace(l, bandwidth=bw) for l in out.links]
+        elif axis == "sites":
+            if out.site_template is None:
+                raise ValueError("sites axis needs a site_template in the scenario")
+            out.site_count = int(value)
+        else:
+            out.scheduler = SchedulerKind(value)
+            if (out.scheduler is not SchedulerKind.DIANA
+                    and out.queue is QueueDiscipline.PRIORITY_MULTIQUEUE):
+                out.queue = QueueDiscipline.FCFS
+        out.validate()
+    except ValueError as exc:  # ScenarioError included
+        raise ScenarioError(f"sweep {axis} value {value!r}: {exc}") from exc
     return out
 
 
@@ -149,6 +156,29 @@ class CompareError(ValueError):
 COMPARE_METRICS = ["mean_exec_time", "total_exec_time", "mean_queue_time",
                    "total_queue_time", "message_count", "messages_per_job",
                    "makespan"]
+
+
+def read_summaries(paths: Sequence[str]) -> List[Dict[str, str]]:
+    """The rows of summary.csv files, for `compare`.
+
+    A compared metric that is not a number raises CompareError naming
+    the file, the line and the column.
+    """
+    rows = []
+    for path in paths:
+        for lineno, row in enumerate(read_csv(path), start=2):
+            for column in COMPARE_METRICS:
+                value = row.get(column)
+                if value is None:
+                    continue  # compare names the missing column
+                try:
+                    float(value)
+                except ValueError:
+                    raise CompareError(
+                        f"{path} line {lineno}: {column} is not a number: "
+                        f"{value!r}") from None
+            rows.append(row)
+    return rows
 
 
 def compare(summaries: Sequence[Dict[str, str]]) -> str:

@@ -122,6 +122,9 @@ class Scenario:
             for end in (link.from_site, link.to_site):
                 if end not in known_sites:
                     raise ScenarioError(f"link references undefined site {end!r}")
+        pairs = {frozenset((l.from_site, l.to_site)) for l in self.links}
+        if len(pairs) != len(self.links):  # links are symmetric
+            raise ScenarioError("duplicate links between one pair of sites")
         users = {u.user_id for u in self.users}
         if len(users) != len(self.users):
             raise ScenarioError("duplicate user ids")
@@ -229,6 +232,7 @@ def parse_scenario(text: str) -> Scenario:
 
     scenario = Scenario()
     first = True
+    link_lines: Dict[frozenset, int] = {}  # links are symmetric
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,6 +275,12 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "link":
                 if len(args) < 3:
                     raise ScenarioError(f"line {lineno}: link takes two sites plus fields")
+                pair = frozenset(args[:2])
+                if pair in link_lines:
+                    raise ScenarioError(
+                        f"line {lineno}: duplicate link between {args[0]} and "
+                        f"{args[1]} (first on line {link_lines[pair]})")
+                link_lines[pair] = lineno
                 kv = _parse_kv(args[2:], ["bandwidth"], lineno, {"latency": "0", "load": "0"})
                 scenario.links.append(NetworkLink(
                     args[0], args[1], float(kv["bandwidth"]), float(kv["latency"]),

@@ -27,31 +27,25 @@ class PeerSnapshot:
     site_id: str
     node_count: int
     node_power: float
-    queue_length: float  # queued plus running jobs, aged by as_of
+    queue_length: float  # queued plus running jobs when polled
     service_rate: float
     snapshot_time: float
     jobs_ahead: int = 0  # relative to the probing reference priority
     sent_since: int = 0  # local bookkeeping: jobs routed there after the poll
 
-    @property
-    def backlog(self):
-        # Optimistic correction: count what we exported since the snapshot.
-        return self.queue_length + self.sent_since
-
-    def as_of(self, now: float) -> "PeerSnapshot":
-        """Copy with the queue estimate aged by the peer's service rate.
+    def as_of(self, now: float) -> float:
+        """The queue length aged by the peer's service rate up to `now`.
 
         Without this a snapshot only ever grows (via sent_since) while the
         local view keeps shrinking, biasing every decision toward local.
+        The snapshot itself is left as polled; a placement adds
+        `sent_since`, the optimistic count of what was routed there since.
+        Each conditional is exactly `max(0.0, x)`, without the call.
         """
-        served = self.service_rate * max(0.0, now - self.snapshot_time)
-        projected = max(0.0, self.queue_length - served)
-        return PeerSnapshot(
-            site_id=self.site_id, node_count=self.node_count,
-            node_power=self.node_power, queue_length=projected,
-            service_rate=self.service_rate,
-            snapshot_time=self.snapshot_time, jobs_ahead=self.jobs_ahead,
-            sent_since=self.sent_since)
+        elapsed = now - self.snapshot_time
+        served = self.service_rate * (elapsed if elapsed > 0.0 else 0.0)
+        left = self.queue_length - served
+        return left if left > 0.0 else 0.0
 
 
 @dataclass
@@ -67,80 +61,96 @@ def classify(job: JobSpec, overrides=None) -> CostWeights:
     return PRESET_WEIGHTS[job.kind]
 
 
-def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot],
+def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot], now: float,
              topology: Topology, b_ref: float = REFERENCE_BANDWIDTH,
              weight_overrides=None) -> SchedulingDecision:
     """Choose the minimum aggregate-cost site for a first-time job.
 
-    Candidates are the local site (the engine's SiteRuntime) plus every
-    peer snapshot; both expose what `compute_cost` reads.  Ties break by
-    (lower total, fewer queued jobs, lexical site id).  Raises
-    UnschedulableError when no candidate owns enough nodes even when idle.
+    Candidates are the local site (the engine's SiteRuntime, at its
+    current backlog) plus every peer snapshot, whose backlog is its queue
+    aged to `now` plus the jobs sent there since the poll; `peers` may
+    come in any order.  Ties break by (lower total, fewer queued jobs,
+    lexical site id).  Raises UnschedulableError when no candidate owns
+    enough nodes even when idle.
     """
     weights = classify(job, weight_overrides)
-    candidates = [local] + list(peers)
-    feasible = [c for c in candidates if job.processors_required <= c.node_count]
-    if not feasible:
-        raise UnschedulableError(
-            f"job {job.job_id} needs {job.processors_required} processors; "
-            f"no site is large enough")
+    need = job.processors_required
+    data_site = job.data_site
+    link_between = topology.link_between
+    feasible = False
     scored = []
-    for cand in feasible:
+    for cand in (local, *peers):
+        if need > cand.node_count:
+            continue
+        feasible = True
+        backlog = (local.backlog if cand is local
+                   else cand.as_of(now) + cand.sent_since)
         try:
-            link = topology.link_between(job.data_site, cand.site_id)
-            total = total_cost(job, cand, link, weights, b_ref)
+            link = link_between(data_site, cand.site_id)
         except UnreachableSiteError:
             continue
-        scored.append((total, cand.backlog, cand.site_id))
+        scored.append((total_cost(job, cand, backlog, link, weights, b_ref),
+                       backlog, cand.site_id))
+    if not feasible:
+        raise UnschedulableError(
+            f"job {job.job_id} needs {need} processors; "
+            f"no site is large enough")
     if not scored:
         raise UnreachableSiteError(
-            f"job {job.job_id}: data at {job.data_site} cannot reach any site")
+            f"job {job.job_id}: data at {data_site} cannot reach any site")
     scored.sort()  # site ids are unique, so no comparison goes further
     return SchedulingDecision(
         chosen_site=scored[0][2],
         alternatives=[(site_id, total) for total, _, site_id in scored])
 
 
-def batch_cost(batch: Sequence[JobSpec], site, topology: Topology,
+def batch_cost(batch: Sequence[JobSpec], site, backlog: float,
+               topology: Topology,
                b_ref: float = REFERENCE_BANDWIDTH) -> float:
     """Unweighted total cost of running the whole batch at one site."""
     acc = 0.0
     for job in batch:
         link = topology.link_between(job.data_site, site.site_id)
-        acc += total_cost(job, site, link, UNIT_WEIGHTS, b_ref)
+        acc += total_cost(job, site, backlog, link, UNIT_WEIGHTS, b_ref)
     return acc
 
 
 def migrate_batch(batch: Sequence[JobSpec], local,
                   local_jobs_ahead: int, peers: Sequence[PeerSnapshot],
-                  topology: Topology,
+                  now: float, topology: Topology,
                   b_ref: float = REFERENCE_BANDWIDTH) -> Optional[str]:
     """Pick the single peer a congested site should export the batch to.
 
-    Peers are ranked lexicographically by (jobs ahead + queue length, total
-    batch cost).  The batch stays local unless the best peer is strictly
-    better than the local site on both criteria; unreachable or too-small
-    peers never win.  Returns the target site id, or None for stay-local.
+    Peers are ranked lexicographically by (jobs ahead + queue length aged
+    to `now`, total batch cost, site id), so their order does not matter;
+    a peer's batch cost counts its aged queue plus the jobs sent there
+    since the poll.  The batch stays local unless the best peer is
+    strictly better than the local site on both criteria; unreachable or
+    too-small peers never win.  Returns the target site id, or None for
+    stay-local.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     need = max(j.processors_required for j in batch)
-    local_key = local_jobs_ahead + local.backlog
-    local_cost = batch_cost(batch, local, topology, b_ref)
+    local_backlog = local.backlog
+    local_key = local_jobs_ahead + local_backlog
+    local_cost = batch_cost(batch, local, local_backlog, topology, b_ref)
     best = None
-    for peer in sorted(peers, key=lambda p: p.site_id):
+    for peer in peers:
         if need > peer.node_count:
             continue
+        queued = peer.as_of(now)
         try:
-            cost = batch_cost(batch, peer, topology, b_ref)
+            cost = batch_cost(batch, peer, queued + peer.sent_since,
+                              topology, b_ref)
         except UnreachableSiteError:
             continue
-        key = (peer.jobs_ahead + peer.queue_length, cost, peer.site_id)
-        if best is None or key < best[0]:
-            best = (key, peer)
+        key = (peer.jobs_ahead + queued, cost, peer.site_id)
+        if best is None or key < best:
+            best = key
     if best is None:
         return None
-    (jobs_key, cost, _), peer = best
+    jobs_key, cost, site_id = best
     if jobs_key < local_key and cost < local_cost:
-        return peer.site_id
+        return site_id
     return None

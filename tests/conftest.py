@@ -1,7 +1,12 @@
 """Shared fixtures and small builders for the test suite."""
 
-from dianasched.core import JobSpec, JobKind, UserProfile
-from dianasched.scheduler import PeerSnapshot
+from dataclasses import dataclass
+
+from dianasched.core import (JobSpec, JobKind, UnreachableSiteError,
+                             UserProfile, available_bandwidth)
+from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
+                              transfer_cost)
+from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
 
 
 def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
@@ -11,12 +16,26 @@ def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
                    data_site=data_site, submit_time=submit, kind=kind)
 
 
+@dataclass
+class SiteView(PeerSnapshot):
+    """A snapshot that also reads as a site with a `backlog`.
+
+    The backlog is the queue plus what was sent since the poll, as the
+    copies the reference aging below returns; the engine's local site
+    (SiteRuntime) has the same attribute.
+    """
+
+    @property
+    def backlog(self):
+        return self.queue_length + self.sent_since
+
+
 def mk_site(site_id="s1", nodes=5, power=1.0, backlog=0,
-            service=0.0) -> PeerSnapshot:
+            service=0.0) -> SiteView:
     """A site as the cost model reads it, with `backlog` jobs queued."""
-    return PeerSnapshot(site_id=site_id, node_count=nodes, node_power=power,
-                        queue_length=backlog, service_rate=service,
-                        snapshot_time=0.0)
+    return SiteView(site_id=site_id, node_count=nodes, node_power=power,
+                    queue_length=backlog, service_rate=service,
+                    snapshot_time=0.0)
 
 
 def mk_users(**quotas):
@@ -32,3 +51,99 @@ def sjf_order(jobs):
 def priorities(queue):
     """Every queued job's priority by job id (priority discipline only)."""
     return {job_id: queue.priority_of(job_id) for job_id in queue.jobs}
+
+
+# -- reference placement -------------------------------------------------
+# The cost and placement formulas written plainly: one function per cost
+# term, and every peer aged into a copy, in site-id order.  The scheduler
+# computes the same floats with fewer calls and no copies, and must agree
+# with these exactly (`==`), since placements compare the floats.
+
+def compute_cost(job, site):
+    """Service time on `site` plus the estimated wait behind its backlog."""
+    effective = site.node_power * min(job.processors_required, site.node_count)
+    service = job.compute_demand / effective if job.compute_demand else 0.0
+    delay = site.backlog / max(site.service_rate, EPSILON)
+    return service + delay
+
+
+def network_cost(link, b_ref=REFERENCE_BANDWIDTH):
+    """Reference bandwidth over available bandwidth; 0 for intra-site."""
+    if link is None:
+        return 0.0
+    return b_ref / available_bandwidth(link)
+
+
+def reference_total_cost(job, site, link, weights, b_ref=REFERENCE_BANDWIDTH):
+    c = compute_cost(job, site)
+    d = transfer_cost(job, job.data_site, site.site_id, link)
+    n = network_cost(link, b_ref)
+    return weights.w_c * c + weights.w_d * d + weights.w_n * n
+
+
+def aged_copy(snap, now):
+    """A copy of `snap` with its queue aged by the service rate to `now`."""
+    served = snap.service_rate * max(0.0, now - snap.snapshot_time)
+    projected = max(0.0, snap.queue_length - served)
+    return SiteView(site_id=snap.site_id, node_count=snap.node_count,
+                    node_power=snap.node_power, queue_length=projected,
+                    service_rate=snap.service_rate,
+                    snapshot_time=snap.snapshot_time,
+                    jobs_ahead=snap.jobs_ahead, sent_since=snap.sent_since)
+
+
+def reference_schedule(job, local, peers, now, topology,
+                       b_ref=REFERENCE_BANDWIDTH, weight_overrides=None):
+    """(chosen site, alternatives) over peers aged into sorted copies."""
+    weights = classify(job, weight_overrides)
+    aged = [aged_copy(p, now) for p in sorted(peers, key=lambda p: p.site_id)]
+    feasible = [c for c in [local] + aged
+                if job.processors_required <= c.node_count]
+    if not feasible:
+        raise UnschedulableError(job.job_id)
+    scored = []
+    for cand in feasible:
+        try:
+            link = topology.link_between(job.data_site, cand.site_id)
+            total = reference_total_cost(job, cand, link, weights, b_ref)
+        except UnreachableSiteError:
+            continue
+        scored.append((total, cand.backlog, cand.site_id))
+    if not scored:
+        raise UnreachableSiteError(job.job_id)
+    scored.sort()
+    return scored[0][2], [(site_id, total) for total, _, site_id in scored]
+
+
+def reference_batch_cost(batch, site, topology, b_ref=REFERENCE_BANDWIDTH):
+    acc = 0.0
+    for job in batch:
+        link = topology.link_between(job.data_site, site.site_id)
+        acc += reference_total_cost(job, site, link, UNIT_WEIGHTS, b_ref)
+    return acc
+
+
+def reference_migrate_batch(batch, local, local_jobs_ahead, peers, now,
+                            topology, b_ref=REFERENCE_BANDWIDTH):
+    """The export target (or None) over peers aged into sorted copies."""
+    need = max(j.processors_required for j in batch)
+    local_key = local_jobs_ahead + local.backlog
+    local_cost = reference_batch_cost(batch, local, topology, b_ref)
+    best = None
+    for peer in sorted((aged_copy(p, now) for p in peers),
+                       key=lambda p: p.site_id):
+        if need > peer.node_count:
+            continue
+        try:
+            cost = reference_batch_cost(batch, peer, topology, b_ref)
+        except UnreachableSiteError:
+            continue
+        key = (peer.jobs_ahead + peer.queue_length, cost, peer.site_id)
+        if best is None or key < best[0]:
+            best = (key, peer)
+    if best is None:
+        return None
+    (jobs_key, cost, _), peer = best
+    if jobs_key < local_key and cost < local_cost:
+        return peer.site_id
+    return None

@@ -118,6 +118,20 @@ class TestDiagnostics:
         assert err.count("\n") == 1
         assert err.startswith("error: line 6: ") and field in err
 
+    @pytest.mark.parametrize("line", ["link s1 s2 bandwidth=1000",
+                                      "link s2 s1 bandwidth=1000"])
+    def test_duplicate_link(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(SCENARIO.lstrip() + "link s1 s2 bandwidth=10\n"
+                       + line + "\n")
+        code = main(["run", "--scenario", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        a, b = line.split()[1:3]
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line 7: duplicate link between {a} and {b} "
+            f"(first on line 6)\n")
+
     # Deleted settings stay rejected rather than silently ignored.
     @pytest.mark.parametrize("line", ["echo_timeout nan", "echo_timeout 5",
                                       "bands 0.5 0"])
@@ -141,6 +155,19 @@ class TestDiagnostics:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "bandwidth" in err
         assert not (tmp_path / "sweep" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("axis,value,reason", [
+        ("bandwidth", "fast", "could not convert string to float: 'fast'"),
+        ("sites", "3", "sites axis needs a site_template in the scenario"),
+        ("scheduler", "greedy", "'greedy' is not a valid SchedulerKind")])
+    def test_sweep_names_axis_and_value(self, scenario_file, tmp_path, capsys,
+                                        axis, value, reason):
+        code = main(["sweep", "--scenario", scenario_file, "--axis", axis,
+                     "--values", value, "--seed", "1",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep {axis} value {value!r}: {reason}\n")
 
     def test_simulation_error_exits_2(self, scenario_file, tmp_path, capsys,
                                       monkeypatch):
@@ -185,6 +212,22 @@ class TestSweepAndCompare:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: summary lacks the {column} column\n")
+
+    def test_compare_names_a_non_numeric_cell(self, scenario_file, tmp_path,
+                                              capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", scenario_file, "--seed", "2",
+                     "--out", str(out)]) == 0
+        header, row = ((out / "summary.csv").read_text().splitlines())
+        cells = row.split(",")
+        cells[header.split(",").index("makespan")] = "fast"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{row}\n{','.join(cells)}\n")
+        capsys.readouterr()
+        code = main(["compare", str(out / "summary.csv"), str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} line 3: makespan is not a number: 'fast'\n")
 
     def test_sweep_rejects_empty_values(self, scenario_file, tmp_path, capsys):
         code = main(["sweep", "--scenario", scenario_file, "--axis",

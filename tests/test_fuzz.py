@@ -3,7 +3,8 @@
 A generated scenario must either raise ScenarioError (exit 2 with a
 one-line diagnostic through the CLI) or run with its job counts adding
 up, serialize and parse back to an equal scenario, and give the same CSV
-bytes when run twice under one seed.
+bytes when run twice under one seed.  Likewise a sweep value must be
+rejected naming its axis, or give a scenario that validates.
 """
 
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dianasched.engine import Simulation
-from dianasched.report import write_run
+from dianasched.report import SWEEP_AXES, apply_axis, write_run
 from dianasched.scenario import (_SCALAR_KEYS, ScenarioError, parse_scenario,
                                  serialize_scenario)
 
@@ -76,6 +77,10 @@ def scenario_text(draw):
         lines.append(f"default_link {link_fields()}")
     if draw(st.booleans()):
         lines.append(f"link s1 s2 {link_fields()}")
+        if faulty and draw(st.booleans()):
+            # A second link for the pair, in either order, is rejected.
+            a, b = draw(st.permutations(["s1", "s2"]))
+            lines.append(f"link {a} {b} {link_fields()}")
     lines += [f"user {u} quota={pick(*QUOTA)}" for u in users]
     for _ in range(draw(st.integers(0, 2))):
         lines.append(f"weights {pick(KINDS)} {pick(*WEIGHT)} {pick(*WEIGHT)}"
@@ -130,3 +135,47 @@ def test_scenario_text_is_rejected_or_runs_consistently(text):
         return
     assert parse_scenario(serialize_scenario(scenario)) == scenario
     assert _run(text) == _run(text)
+
+
+SWEEP_BASE = """
+site s1 nodes=2 power=1.0
+site_template prefix=t nodes=1 power=1.0
+site_count 2
+default_link bandwidth=1000
+link s1 t001 bandwidth=10
+user u quota=1
+burst time=0 user=u site=s1 count=2 demand=3 procs=1 data_site=s1
+"""
+
+# Integer-looking values above this would expand the site template into
+# a large scenario; the sites axis checks nothing beyond >= 0.
+MAX_SITES = 50
+
+
+def _too_many_sites(axis, value):
+    try:
+        return axis == "sites" and int(value) > MAX_SITES
+    except ValueError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=st.sampled_from(SWEEP_AXES),
+       value=st.one_of(
+           st.sampled_from(["diana", "round_robin", "flop_greedy", "greedy",
+                            "0", "1", "-1", "50", "1e3", "0.5", "fast", "",
+                            " 7 ", "nan", "inf", "-inf", "0x10"]),
+           st.integers(-5, MAX_SITES).map(str),
+           st.floats(allow_nan=True, allow_infinity=True).map(repr),
+           st.text(max_size=6)))
+def test_sweep_value_is_rejected_naming_axis_or_validates(axis, value):
+    if _too_many_sites(axis, value):
+        return
+    base = parse_scenario(SWEEP_BASE)
+    try:
+        out = apply_axis(base, axis, value)
+    except ScenarioError as exc:
+        assert str(exc).startswith(f"sweep {axis} value {value!r}: ")
+        return
+    out.validate()
+    assert base == parse_scenario(SWEEP_BASE)  # the base is left as it was

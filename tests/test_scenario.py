@@ -146,6 +146,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="duplicate site"):
             parse_scenario("site s1 nodes=1 power=1\n" + MINIMAL)
 
+    # A second link for a pair, in either order, would replace the first.
+    @pytest.mark.parametrize("second", ["link s1 s2 bandwidth=1000",
+                                        "link s2 s1 bandwidth=1000"])
+    def test_duplicate_link(self, second):
+        a, b = second.split()[1:3]
+        text = ("site s2 nodes=1 power=1\nlink s1 s2 bandwidth=10\n"
+                + second + "\n" + MINIMAL)
+        with pytest.raises(ScenarioError, match=(
+                f"^line 3: duplicate link between {a} and {b} "
+                r"\(first on line 2\)$")):
+            parse_scenario(text)
+
+    def test_validate_checks_duplicate_links_built_in_code(self):
+        scenario = parse_scenario("site s2 nodes=1 power=1\n"
+                                  "link s1 s2 bandwidth=10\n" + MINIMAL)
+        link = scenario.links[0]
+        scenario.links.append(type(link)(link.to_site, link.from_site, 1000.0))
+        with pytest.raises(ScenarioError,
+                           match="^duplicate links between one pair of sites$"):
+            scenario.validate()
+
     def test_priority_queue_needs_diana(self):
         with pytest.raises(ScenarioError, match="priority queue"):
             parse_scenario("scheduler round_robin\nqueue priority\n" + MINIMAL)
