@@ -19,7 +19,7 @@ class JobKind(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """An abstract job: compute demand, processor need, and input data."""
 

@@ -42,7 +42,57 @@ class JobStatus(str, Enum):
     REJECTED_UNSCHEDULABLE = "rejected_unschedulable"
 
 
-@dataclass
+class EventKind(str, Enum):
+    """The kinds of event a run records: a job's lifecycle, then the
+    sites' polls, exports and faults.
+
+    `EVENT_FIELDS` names each kind's fields; docs/trace-format.md gives
+    their meaning and units.
+    """
+
+    SUBMIT = "submit"
+    PLACE = "place"
+    MIGRATE = "migrate"
+    ALLOCATE = "allocate"
+    COMPLETED = "completed"
+    FAILED_UNREACHABLE = "failed_unreachable"
+    REJECTED_UNSCHEDULABLE = "rejected_unschedulable"
+    POLL = "poll"
+    MIGRATION_PICK = "migration_pick"
+    MIGRATION_STAY_LOCAL = "migration_stay_local"
+    PEER_REMOVED = "peer_removed"
+    CRASH = "crash"
+    PEER_DEREGISTERED = "peer_deregistered"
+    PEER_REGISTERED = "peer_registered"
+
+
+# The field names of each kind, in the order `Simulation._trace` takes
+# their values.  A failed_unreachable event carries `dest` only when the
+# job's data could not be staged to its chosen site.
+EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
+    EventKind.SUBMIT: ("job", "site"),
+    EventKind.PLACE: ("job", "dest", "transfer"),
+    EventKind.MIGRATE: ("job", "dest", "transfer"),
+    EventKind.ALLOCATE: ("job", "site", "duration"),
+    EventKind.COMPLETED: ("job", "site"),
+    EventKind.FAILED_UNREACHABLE: ("job", "dest"),
+    EventKind.REJECTED_UNSCHEDULABLE: ("job",),
+    EventKind.POLL: ("site", "peers"),
+    EventKind.MIGRATION_PICK: ("job", "source", "dest", "priority", "ratio"),
+    EventKind.MIGRATION_STAY_LOCAL: ("site", "batch", "ratio"),
+    EventKind.PEER_REMOVED: ("site",),
+    EventKind.CRASH: ("site",),
+    EventKind.PEER_DEREGISTERED: ("site",),
+    EventKind.PEER_REGISTERED: ("site",),
+}
+
+# The event each terminal status records, under the status's own name.
+_TERMINAL_EVENT = {status: EventKind(status.value) for status in (
+    JobStatus.COMPLETED, JobStatus.FAILED_UNREACHABLE,
+    JobStatus.REJECTED_UNSCHEDULABLE)}
+
+
+@dataclass(slots=True)
 class JobRecord:
     spec: JobSpec
     submit_site: str
@@ -146,10 +196,22 @@ class RunResult:
     scenario: Scenario
     seed: int
     jobs: Dict[str, JobRecord]  # in workload order
-    trace: List[dict]
+    events: List[tuple]  # (t, kind, *values), as Simulation._trace keeps them
     messages: int
     utilization: Dict[str, float]
     workload_hash: str
+
+    @property
+    def trace(self) -> List[dict]:
+        """The events as dicts: `t`, `kind` (a plain str), then the
+        kind's fields.  Built anew on each read; see docs/trace-format.md.
+        """
+        out = []
+        for t, kind, *values in self.events:
+            entry = {"t": t, "kind": kind.value}
+            entry.update(zip(EVENT_FIELDS[kind], values))
+            out.append(entry)
+        return out
 
     def records(self) -> List[JobRecord]:
         return list(self.jobs.values())
@@ -199,7 +261,7 @@ class Simulation:
         self.now = 0.0
         self._seq = 0
         self._heap: List[tuple] = []
-        self.trace: List[dict] = []
+        self.events: List[tuple] = []
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
         self.sites: Dict[str, SiteRuntime] = {}
@@ -226,10 +288,9 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))
 
-    def _trace(self, kind: str, **data) -> None:
-        entry = {"t": self.now, "kind": kind}
-        entry.update(data)
-        self.trace.append(entry)
+    def _trace(self, kind: EventKind, *values) -> None:
+        """Record one event; `values` follow `EVENT_FIELDS[kind]`."""
+        self.events.append((self.now, kind, *values))
 
     def run(self) -> RunResult:
         if self._ran:
@@ -261,23 +322,23 @@ class Simulation:
             cap_seconds = site.node_count * horizon
             util[sid] = site.busy_node_seconds / cap_seconds if cap_seconds else 0.0
         return RunResult(scenario=self.scenario, seed=self.seed,
-                         jobs=self.jobs, trace=self.trace,
+                         jobs=self.jobs, events=self.events,
                          messages=self.messages, utilization=util,
                          workload_hash=self.workload_digest)
 
     # -- job lifecycle -------------------------------------------------
 
-    def _terminal(self, rec: JobRecord, status: JobStatus, **extra) -> None:
+    def _terminal(self, rec: JobRecord, status: JobStatus, *extra) -> None:
         rec.status = status
         self.pending -= 1
         self._idle_ticks = 0
-        self._trace(status.value, job=rec.spec.job_id, **extra)
+        self._trace(_TERMINAL_EVENT[status], rec.spec.job_id, *extra)
 
     def _on_submit(self, rec: JobRecord) -> None:
         self._idle_ticks = 0
         site = self.sites[rec.submit_site]
         site.arrivals_window += 1
-        self._trace("submit", job=rec.spec.job_id, site=site.site_id)
+        self._trace(EventKind.SUBMIT, rec.spec.job_id, site.site_id)
         if site.crashed:
             site.parked.append(rec.spec.job_id)
             return
@@ -335,12 +396,12 @@ class Simulation:
             try:
                 link = self.topology.link_between(job.data_site, dest)
             except UnreachableSiteError:
-                self._terminal(rec, JobStatus.FAILED_UNREACHABLE, dest=dest)
+                self._terminal(rec, JobStatus.FAILED_UNREACHABLE, dest)
                 return
             delay = transfer_cost(job, job.data_site, dest, link)
             rec.transfer_total += delay
-        self._trace("migrate" if migration else "place", job=job.job_id,
-                    dest=dest, transfer=delay)
+        self._trace(EventKind.MIGRATE if migration else EventKind.PLACE,
+                    job.job_id, dest, delay)
         self._at(self.now + delay, self._on_arrival, rec, dest)
 
     def _on_arrival(self, rec: JobRecord, dest: str) -> None:
@@ -366,8 +427,8 @@ class Simulation:
             duration = (head.compute_demand /
                         (site.node_power * head.processors_required)
                         if head.compute_demand else 0.0)
-            self._trace("allocate", job=head.job_id, site=site.site_id,
-                        duration=duration)
+            self._trace(EventKind.ALLOCATE, head.job_id, site.site_id,
+                        duration)
             self._at(self.now + duration, self._on_complete, rec, duration)
 
     def _on_complete(self, rec: JobRecord, duration: float) -> None:
@@ -377,7 +438,7 @@ class Simulation:
         site.running -= 1
         site.completions_window += 1
         site.busy_node_seconds += duration * rec.spec.processors_required
-        self._terminal(rec, JobStatus.COMPLETED, site=site.site_id)
+        self._terminal(rec, JobStatus.COMPLETED, site.site_id)
         self._try_allocate(site)
 
     # -- peer communication --------------------------------------------
@@ -416,7 +477,7 @@ class Simulation:
                 queue_length=peer.backlog,
                 service_rate=peer.service_rate,
                 snapshot_time=self.now, jobs_ahead=ahead)
-        self._trace("poll", site=site.site_id, peers=len(site.snapshots))
+        self._trace(EventKind.POLL, site.site_id, len(site.snapshots))
 
     def _peer_estimates(self, site: SiteRuntime) -> List[PeerSnapshot]:
         """Fresh snapshots of peers the registry still considers alive.
@@ -472,8 +533,8 @@ class Simulation:
         target = migrate_batch(batch, site, local_ahead, peers, self.now,
                                self.topology, self.scenario.b_ref)
         if target is None:
-            self._trace("migration_stay_local", site=site.site_id,
-                        batch=len(batch), ratio=ratio)
+            self._trace(EventKind.MIGRATION_STAY_LOCAL, site.site_id,
+                        len(batch), ratio)
             return
         self._idle_ticks = 0
         # Selection-time priorities; removals below reprioritize the rest.
@@ -483,8 +544,8 @@ class Simulation:
             site.queue.remove(jid)
             rec = self.jobs[jid]
             rec.migrations += 1
-            self._trace("migration_pick", job=jid, source=site.site_id,
-                        dest=target, priority=pr, ratio=ratio)
+            self._trace(EventKind.MIGRATION_PICK, jid, site.site_id, target,
+                        pr, ratio)
             if target in site.snapshots:
                 site.snapshots[target].sent_since += 1
             self._send(rec, target, migration=True)
@@ -502,7 +563,7 @@ class Simulation:
             self.messages += len(survivors)
             for other in survivors:
                 self.sites[other].snapshots.pop(sid, None)
-            self._trace("peer_removed", site=sid)
+            self._trace(EventKind.PEER_REMOVED, sid)
         if self.pending > 0 and self._idle_ticks < MAX_IDLE_TICKS:
             self._at(self.now + self.scenario.echo_interval, self._on_echo_tick)
 
@@ -512,16 +573,16 @@ class Simulation:
         site = self.sites[fault.site]
         if fault.action == "crash":
             site.crashed = True
-            self._trace("crash", site=fault.site)
+            self._trace(EventKind.CRASH, fault.site)
         elif fault.action == "deregister":
             self.registry.deregister(fault.site)
             for other in self.registry.list_peers():
                 self.sites[other].snapshots.pop(fault.site, None)
-            self._trace("peer_deregistered", site=fault.site)
+            self._trace(EventKind.PEER_DEREGISTERED, fault.site)
         elif fault.action == "register":
             site.crashed = False
             self.registry.register(fault.site)
-            self._trace("peer_registered", site=fault.site)
+            self._trace(EventKind.PEER_REGISTERED, fault.site)
             self._idle_ticks = 0
             parked, site.parked = site.parked, []
             for jid in parked:

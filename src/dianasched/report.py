@@ -11,7 +11,7 @@ import csv
 import dataclasses
 import io
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .baselines import QueueDiscipline, SchedulerKind
 from .engine import RunResult, run_scenario
@@ -40,10 +40,10 @@ def fmt_value(x) -> str:
     return str(x)
 
 
-def jobs_rows(result: RunResult) -> List[List[str]]:
-    rows = []
+def jobs_rows(result: RunResult) -> Iterator[List[str]]:
+    """One jobs.csv row per job, produced as the writer asks for it."""
     for rec in result.records():
-        rows.append([
+        yield [
             rec.spec.job_id,
             rec.spec.user_id,
             rec.exec_site or "",
@@ -55,8 +55,7 @@ def jobs_rows(result: RunResult) -> List[List[str]]:
             fmt_value(rec.exec_time),
             str(rec.migrations),
             rec.status.value,
-        ])
-    return rows
+        ]
 
 
 def summary_row(result: RunResult, axis: str = "",
@@ -73,7 +72,8 @@ def summary_row(result: RunResult, axis: str = "",
     return row
 
 
-def _write_csv(path: str, header: List[str], rows: List[List[str]]) -> None:
+def _write_csv(path: str, header: List[str],
+               rows: Iterable[List[str]]) -> None:
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

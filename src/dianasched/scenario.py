@@ -122,6 +122,8 @@ class Scenario:
             for end in (link.from_site, link.to_site):
                 if end not in known_sites:
                     raise ScenarioError(f"link references undefined site {end!r}")
+            if link.from_site == link.to_site:
+                raise ScenarioError(f"link from {link.from_site} to itself")
         pairs = {frozenset((l.from_site, l.to_site)) for l in self.links}
         if len(pairs) != len(self.links):  # links are symmetric
             raise ScenarioError("duplicate links between one pair of sites")
@@ -275,6 +277,9 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "link":
                 if len(args) < 3:
                     raise ScenarioError(f"line {lineno}: link takes two sites plus fields")
+                if args[0] == args[1]:
+                    raise ScenarioError(
+                        f"line {lineno}: link from {args[0]} to itself")
                 pair = frozenset(args[:2])
                 if pair in link_lines:
                     raise ScenarioError(
@@ -318,7 +323,8 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".12g")
+    """The shortest text that parses back to exactly `x`."""
+    return repr(x)
 
 
 def serialize_scenario(s: Scenario) -> str:

@@ -132,6 +132,15 @@ class TestDiagnostics:
             f"error: line 7: duplicate link between {a} and {b} "
             f"(first on line 6)\n")
 
+    def test_self_link(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(SCENARIO.lstrip() + "link s1 s1 bandwidth=1\n")
+        code = main(["run", "--scenario", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 6: link from s1 to itself\n")
+
     # Deleted settings stay rejected rather than silently ignored.
     @pytest.mark.parametrize("line", ["echo_timeout nan", "echo_timeout 5",
                                       "bands 0.5 0"])

@@ -24,6 +24,9 @@ ROOTS = {
     "serialize_scenario",
     # SchedulingDecision.alternatives: bench/spans.py counts candidates.
     "alternatives",
+    # RunResult.trace, the dict view of a run's events: the README's
+    # library section, the tests and bench/run.py's traced pass read it.
+    "trace",
 }
 
 

@@ -1,10 +1,14 @@
 """End-to-end simulator behavior on small hand-traceable scenarios."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
-from dianasched.engine import (JobStatus, Simulation, SimulationError,
-                               generate_workload, run_scenario, workload_hash)
+from dianasched.engine import (EVENT_FIELDS, EventKind, JobStatus, Simulation,
+                               SimulationError, generate_workload,
+                               run_scenario, workload_hash)
 from dianasched.presets import scenario_preset
 from dianasched.queueing import MultilevelQueue
 from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
@@ -238,6 +242,53 @@ class TestFaults:
         kinds = [e["kind"] for e in trace]
         assert "crash" in kinds
         assert "peer_registered" in kinds
+
+
+class TestTrace:
+    """The dict view of the stored events, on kinds the goldens never emit."""
+
+    TRACE_DOC = (Path(__file__).resolve().parent.parent / "docs"
+                 / "trace-format.md")
+
+    def _unlinked(self, scheduler):
+        # No link at all: a job whose data sits at s1 can run only at s1,
+        # which has one node.
+        return Scenario(scheduler=scheduler, queue=QueueDiscipline.FCFS,
+                        sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 2, 1.0)],
+                        users=[UserProfile("u1", 1.0)],
+                        bursts=[burst(procs=2), burst(time=1.0, procs=9)])
+
+    @pytest.mark.parametrize("scheduler,failed", [
+        # Placement scores no candidate the data can reach: no dest.
+        (SchedulerKind.DIANA, {"t": 0.0, "kind": "failed_unreachable",
+                               "job": "j00001"}),
+        # Round robin picks s2, then staging the data there fails.
+        (SchedulerKind.ROUND_ROBIN, {"t": 0.0, "kind": "failed_unreachable",
+                                     "job": "j00001", "dest": "s2"})])
+    def test_terminal_events(self, scheduler, failed):
+        trace = run_scenario(self._unlinked(scheduler), seed=0).trace
+        terminal = [e for e in trace if e["kind"] in (
+            "completed", "failed_unreachable", "rejected_unschedulable")]
+        assert terminal == [failed, {"t": 1.0, "kind": "rejected_unschedulable",
+                                     "job": "j00002"}]
+        assert list(terminal[0]) == list(failed)  # key order too
+        assert all(type(e["kind"]) is str for e in trace)
+
+    def test_view_is_rebuilt_from_the_stored_events(self):
+        result = run_scenario(self._unlinked(SchedulerKind.DIANA), seed=0)
+        first = result.trace
+        first[0]["kind"] = "edited"
+        assert result.trace[0]["kind"] == "submit"
+        assert [(e["t"], e["kind"]) for e in result.trace] == \
+            [(t, kind.value) for t, kind, *_ in result.events]
+
+    def test_docs_list_every_kind_with_its_fields(self):
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", self.TRACE_DOC.read_text(),
+                          re.MULTILINE)
+        documented = {kind: tuple(re.findall(r"`(\w+)`", fields))
+                      for kind, fields in rows}
+        assert documented == {k.value: f for k, f in EVENT_FIELDS.items()}
+        assert set(EVENT_FIELDS) == set(EventKind)
 
 
 class TestAllocationIsFinal:

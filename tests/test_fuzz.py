@@ -2,9 +2,11 @@
 
 A generated scenario must either raise ScenarioError (exit 2 with a
 one-line diagnostic through the CLI) or run with its job counts adding
-up, serialize and parse back to an equal scenario, and give the same CSV
-bytes when run twice under one seed.  Likewise a sweep value must be
-rejected naming its axis, or give a scenario that validates.
+up, link no site to itself, serialize and parse back to an equal
+scenario (also for values drawn with long mantissas and large
+magnitudes), and give the same CSV bytes when run twice under one seed.
+Likewise a sweep value must be rejected naming its axis, or give a
+scenario that validates.
 """
 
 import tempfile
@@ -50,6 +52,13 @@ LOAD = (["0", "0.5"], BAD_NUMBERS + ["1"])
 QUOTA = (["0.5", "1", "3"], BAD_NUMBERS + ["0"])
 WEIGHT = (["0", "0.5", "1"], BAD_NUMBERS)
 
+# The range a good value of each record field is drawn from when it is
+# drawn as a float rather than picked from the lists above: any
+# mantissa, up to large magnitudes, so the round trip must be exact.
+LONG = {"power": (0.5, 1e15), "bandwidth": (10.0, 1e300),
+        "latency": (0.0, 10.0), "quota": (1e-3, 1e300),
+        "weight": (0.0, 1e6), "data": (0.0, 1e18)}
+
 
 @st.composite
 def scenario_text(draw):
@@ -57,20 +66,23 @@ def scenario_text(draw):
     # the other half mix in bad values, and most of those are rejected.
     faulty = draw(st.booleans())
 
-    def pick(good, bad=()):
+    def pick(good, bad=(), long=None):
+        if long is not None and draw(st.integers(0, 3)) == 0:
+            return repr(draw(st.floats(*LONG[long])))
         return draw(st.sampled_from(list(good) + (list(bad) if faulty else [])))
 
     def link_fields():
-        return (f"bandwidth={pick(*BANDWIDTH)} latency={pick(*LATENCY)}"
-                f" load={pick(*LOAD)}")
+        return (f"bandwidth={pick(*BANDWIDTH, 'bandwidth')}"
+                f" latency={pick(*LATENCY, 'latency')} load={pick(*LOAD)}")
 
     sites = SITE_IDS[:draw(st.integers(2, 3))]
     users = USER_IDS[:draw(st.integers(1, 2))]
-    lines = [f"site {s} nodes={pick(*NODES)} power={pick(*POWER)}" for s in sites]
+    lines = [f"site {s} nodes={pick(*NODES)} power={pick(*POWER, 'power')}"
+             for s in sites]
     template = draw(st.booleans())
     if template:
         lines.append(f"site_template prefix=t nodes={pick(*NODES)}"
-                     f" power={pick(*POWER)}")
+                     f" power={pick(*POWER, 'power')}")
     if template or (faulty and draw(st.booleans())):
         lines.append(f"site_count {pick(['0', '1', '2'], ['-1'])}")
     if draw(st.integers(0, 4)):  # without a default link, most pairs are unreachable
@@ -81,10 +93,14 @@ def scenario_text(draw):
             # A second link for the pair, in either order, is rejected.
             a, b = draw(st.permutations(["s1", "s2"]))
             lines.append(f"link {a} {b} {link_fields()}")
-    lines += [f"user {u} quota={pick(*QUOTA)}" for u in users]
+    if faulty and draw(st.integers(0, 3)) == 0:
+        # A site links to itself only by a typo; it is rejected.
+        site = draw(st.sampled_from(sites))
+        lines.append(f"link {site} {site} {link_fields()}")
+    lines += [f"user {u} quota={pick(*QUOTA, 'quota')}" for u in users]
     for _ in range(draw(st.integers(0, 2))):
-        lines.append(f"weights {pick(KINDS)} {pick(*WEIGHT)} {pick(*WEIGHT)}"
-                     f" {pick(*WEIGHT)}")
+        weights = " ".join(pick(*WEIGHT, "weight") for _ in range(3))
+        lines.append(f"weights {pick(KINDS)} {weights}")
     for _ in range(draw(st.integers(1, 4))):
         lines.append(
             f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
@@ -92,7 +108,7 @@ def scenario_text(draw):
             f" count={pick(['1', '2', '4'], ['0'])}"
             f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf'])}"
             f" procs={draw(st.integers(1, 3))}"
-            f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'])}"
+            f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'], 'data')}"
             f" data_site={pick(sites)} kind={pick(KINDS)}"
             f" per_site={pick(['false', 'true'])}")
     for _ in range(draw(st.integers(0, 2))):
@@ -133,6 +149,7 @@ def test_scenario_text_is_rejected_or_runs_consistently(text):
         scenario = parse_scenario(text)
     except ScenarioError:
         return
+    assert all(l.from_site != l.to_site for l in scenario.links)
     assert parse_scenario(serialize_scenario(scenario)) == scenario
     assert _run(text) == _run(text)
 

@@ -1,14 +1,17 @@
 """Golden outputs: SHA-256 of jobs.csv + summary.csv for fixed runs at seed 42.
 
+TRACE_GOLDEN holds, for the same runs, the SHA-256 of
+`json.dumps(result.trace)`, so the event trace is pinned as well.
 Refactors must keep every digest unchanged.  A digest that changes on
 purpose (a deliberate change of behaviour) is re-recorded with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the current table.
+which prints the current tables.
 """
 
 import hashlib
+import json
 import pathlib
 import tempfile
 
@@ -16,7 +19,8 @@ import pytest
 
 from dianasched.baselines import QueueDiscipline
 from dianasched.cli import _load_scenario
-from dianasched.engine import run_scenario
+from dianasched.core import JobSpec
+from dianasched.engine import JobRecord, Simulation, run_scenario
 from dianasched.presets import scenario_preset
 from dianasched.report import apply_axis, write_run
 
@@ -74,6 +78,57 @@ GOLDEN = {
         "9b5348dbf5108630e124b83300e0b0371af3aaa3f6177576cb7e01407509dcba",
 }
 
+TRACE_GOLDEN = {
+    "P1:diana":
+        "13ae314fa4309a81fe1287d9800c1aeadd07d2234dff431a9ce34b19fe05d809",
+    "P1:round_robin":
+        "58c3cff92af77d03d442d41c9b01e5338a68a76ba85cda543d080ed18380093d",
+    "P1:flop_greedy":
+        "8de2f343940fdf9aa863682b2739c0561ac08ca334adf81f154c41872653f178",
+    "P2:diana":
+        "b256a3ab1dd1d5d460d5ae4df575fc0c980d36df7b0f2f124316985a5e890b8c",
+    "P2:round_robin":
+        "04574cb41218f48962e58de5f1f70d13c910241fd15e53f4944c1c5697597a2f",
+    "P2:flop_greedy":
+        "04574cb41218f48962e58de5f1f70d13c910241fd15e53f4944c1c5697597a2f",
+    "P3:diana":
+        "e657c49ccbb3c01f02c04ceeefbd6c8f3c95c17181c81d9b6773ea1d8ad6f462",
+    "P3:round_robin":
+        "f2c0a1fb5d340c634dde6cfd2008481ce0639252f6a45952bdcc965117f23cf7",
+    "P3:flop_greedy":
+        "4e4e4e7129771b104fd35c6faaed81df126650cbc1bd602f62d47ec97bdd84c6",
+    "P4:diana":
+        "f6b0b415af59da4b1ae3b4f540492248f70f9f146c3d8953cd1224fee0981500",
+    "P4:round_robin":
+        "63a5d02b82032192cd1b2fdd5cb7ef9d3e976884a7467d3bc12a009001a4c3eb",
+    "P4:flop_greedy":
+        "970bf33c6b1f5720ed992f0a1d943499b5405c160d8c7465dffc3ea53981fc3a",
+    "P1:diana/fcfs":
+        "13ae314fa4309a81fe1287d9800c1aeadd07d2234dff431a9ce34b19fe05d809",
+    "P1:diana/sjf":
+        "13ae314fa4309a81fe1287d9800c1aeadd07d2234dff431a9ce34b19fe05d809",
+    "P2:diana/fcfs":
+        "95b06abe6fd45bde6d1de14ffa04a4825f162bbfca0a37a9a42da9ee1cc80c32",
+    "P2:diana/sjf":
+        "b256a3ab1dd1d5d460d5ae4df575fc0c980d36df7b0f2f124316985a5e890b8c",
+    "P3:diana/fcfs":
+        "e657c49ccbb3c01f02c04ceeefbd6c8f3c95c17181c81d9b6773ea1d8ad6f462",
+    "P3:diana/sjf":
+        "e657c49ccbb3c01f02c04ceeefbd6c8f3c95c17181c81d9b6773ea1d8ad6f462",
+    "P4:diana/fcfs":
+        "f6b0b415af59da4b1ae3b4f540492248f70f9f146c3d8953cd1224fee0981500",
+    "P4:diana/sjf":
+        "f6b0b415af59da4b1ae3b4f540492248f70f9f146c3d8953cd1224fee0981500",
+    "file:basic.txt":
+        "5e1c85271fc910811588bab837190e9a705f2cf996d0ac787d810293847b2e9b",
+    "file:comparison.txt":
+        "13ae314fa4309a81fe1287d9800c1aeadd07d2234dff431a9ce34b19fe05d809",
+    "file:faults.txt":
+        "72b07c6605d3737bbaa6abd5cc385a0739948b7a630017691544c0c5bf715642",
+    "file:migration.txt":
+        "13a8d205e2b5b244383e4e4f4e7b0abc1eb6573047b3c8d2f09f5bdfc60f4e94",
+}
+
 
 def _case(name):
     """The scenario a case name stands for."""
@@ -97,6 +152,11 @@ def output_digest(name, out_dir):
     return h.hexdigest()
 
 
+def trace_digest(name):
+    trace = run_scenario(_case(name), SEED).trace
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+
+
 def case_names():
     names = [f"{p}:{s}" for p in ("P1", "P2", "P3", "P4")
              for s in ("diana", "round_robin", "flop_greedy")]
@@ -108,6 +168,7 @@ def case_names():
 
 def test_every_case_has_a_digest():
     assert sorted(GOLDEN) == sorted(case_names())
+    assert sorted(TRACE_GOLDEN) == sorted(case_names())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -115,8 +176,29 @@ def test_output_matches_golden(name, tmp_path):
     assert output_digest(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
+def test_trace_matches_golden(name):
+    assert trace_digest(name) == TRACE_GOLDEN[name]
+
+
+def test_run_state_is_compact():
+    """Per-job records have no instance dict; stored events are tuples."""
+    sim = Simulation(_case("P1:diana"), SEED)
+    result = sim.run()
+    rec = next(iter(result.jobs.values()))
+    assert isinstance(rec, JobRecord) and isinstance(rec.spec, JobSpec)
+    assert not hasattr(rec, "__dict__")
+    assert not hasattr(rec.spec, "__dict__")
+    assert result.events is sim.events and result.events
+    assert all(type(e) is tuple for e in result.events)
+    assert not any(isinstance(v, dict) for e in result.events for v in e)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for i, name in enumerate(case_names()):
             digest = output_digest(name, pathlib.Path(tmp) / str(i))
             print(f'    "{name}":\n        "{digest}",')
+    print("TRACE_GOLDEN")
+    for name in case_names():
+        print(f'    "{name}":\n        "{trace_digest(name)}",')

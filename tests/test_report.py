@@ -5,8 +5,8 @@ import pytest
 from dianasched.baselines import SchedulerKind
 from dianasched.engine import run_scenario
 from dianasched.report import (JOBS_COLUMNS, SUMMARY_COLUMNS, CompareError,
-                               apply_axis, compare, fmt_value, read_csv,
-                               run_sweep, summary_row, write_run)
+                               apply_axis, compare, fmt_value, jobs_rows,
+                               read_csv, run_sweep, summary_row, write_run)
 from dianasched.scenario import parse_scenario
 
 SMALL = """
@@ -46,6 +46,14 @@ class TestWriteRun:
         summary = read_csv(paths["summary"])
         assert list(summary[0]) == SUMMARY_COLUMNS
         assert summary[0]["completed"] == "4"
+
+    def test_jobs_rows_are_streamed(self):
+        # write_run and run_sweep never hold every jobs.csv row at once.
+        result = run_scenario(small_scenario(), seed=0)
+        rows = jobs_rows(result)
+        assert iter(rows) is rows
+        assert next(rows)[0] == "j00001"
+        assert len(list(rows)) == 3
 
     def test_empty_workload_headers_only(self, tmp_path):
         scenario = small_scenario()

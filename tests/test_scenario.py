@@ -167,6 +167,21 @@ class TestValidation:
                            match="^duplicate links between one pair of sites$"):
             scenario.validate()
 
+    # A site reaches itself without a link, so the line can only be a typo.
+    def test_self_link(self):
+        text = "site s2 nodes=1 power=1\nlink s1 s1 bandwidth=1\n" + MINIMAL
+        with pytest.raises(ScenarioError,
+                           match="^line 2: link from s1 to itself$"):
+            parse_scenario(text)
+
+    def test_validate_checks_self_links_built_in_code(self):
+        scenario = parse_scenario("site s2 nodes=1 power=1\n"
+                                  "link s1 s2 bandwidth=10\n" + MINIMAL)
+        link = scenario.links[0]
+        scenario.links[0] = type(link)(link.to_site, link.to_site, 10.0)
+        with pytest.raises(ScenarioError, match="^link from s2 to itself$"):
+            scenario.validate()
+
     def test_priority_queue_needs_diana(self):
         with pytest.raises(ScenarioError, match="priority queue"):
             parse_scenario("scheduler round_robin\nqueue priority\n" + MINIMAL)
@@ -218,6 +233,19 @@ class TestSerialization:
     def test_minimal_round_trip(self):
         s = parse_scenario(MINIMAL)
         assert parse_scenario(serialize_scenario(s)) == s
+
+    # Values longer than 12 significant digits, or of large magnitude,
+    # must come back exactly.
+    @pytest.mark.parametrize("line", [
+        "default_link bandwidth=1000000000001",
+        "default_link bandwidth=1e300 latency=0.30000000000000004",
+        "user v quota=0.1234567890123456",
+        "site s2 nodes=1 power=123456789012.34567"])
+    def test_long_values_round_trip(self, line):
+        s = parse_scenario(line + "\n" + MINIMAL)
+        text = serialize_scenario(s)
+        assert parse_scenario(text) == s
+        assert serialize_scenario(parse_scenario(text)) == text
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_round_trip(self, name):
