@@ -267,14 +267,16 @@ class Simulation:
         self.sites: Dict[str, SiteRuntime] = {}
         for sdef in scenario.resolved_sites():
             self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
+        self.site_order = sorted(self.sites)  # for rate ticks and Round Robin
+        self.max_nodes = max(s.node_count for s in self.sites.values())
         self.topology = Topology(scenario.links, scenario.default_link)
         self.registry = PeerRegistry(scenario.echo_retries)
         for sid in self.sites:
             self.registry.register(sid)
-        self.workload = generate_workload(scenario, seed)
-        self.workload_digest = workload_hash(self.workload)
-        self.jobs: Dict[str, JobRecord] = {}
-        self.pending = 0
+        workload = generate_workload(scenario, seed)
+        self.workload_digest = workload_hash(workload)
+        self.jobs = {job.job_id: JobRecord(job, site) for job, site in workload}
+        self.pending = len(self.jobs)
         self.rr_cursor = 0
         self._idle_ticks = 0
         self._ran = False
@@ -296,11 +298,8 @@ class Simulation:
         if self._ran:
             raise RuntimeError("Simulation instances are single-use")
         self._ran = True
-        for job, site in self.workload:
-            rec = JobRecord(spec=job, submit_site=site)
-            self.jobs[job.job_id] = rec
-            self.pending += 1
-            self._at(job.submit_time, self._on_submit, rec)
+        for rec in self.jobs.values():
+            self._at(rec.spec.submit_time, self._on_submit, rec)
         for fault in self.scenario.faults:
             self._at(fault.time, self._on_fault, fault)
         if self.jobs:
@@ -348,15 +347,14 @@ class Simulation:
         job = rec.spec
         site = self.sites[rec.submit_site]
         kind = self.scenario.scheduler
-        if not any(job.processors_required <= s.node_count
-                   for s in self.sites.values()):
+        if job.processors_required > self.max_nodes:
             self._terminal(rec, JobStatus.REJECTED_UNSCHEDULABLE)
             return
         if kind is SchedulerKind.ROUND_ROBIN:
-            order = sorted(self.sites)
             chosen = None
-            for _ in range(len(order)):
-                cand, self.rr_cursor = rr_schedule(order, self.rr_cursor)
+            for _ in range(len(self.site_order)):
+                cand, self.rr_cursor = rr_schedule(self.site_order,
+                                                   self.rr_cursor)
                 if job.processors_required <= self.sites[cand].node_count:
                     chosen = cand
                     break
@@ -495,7 +493,7 @@ class Simulation:
 
     def _on_rate_tick(self) -> None:
         window = self.scenario.rate_interval
-        for sid in sorted(self.sites):
+        for sid in self.site_order:
             site = self.sites[sid]
             if site.crashed:
                 site.arrivals_window = 0

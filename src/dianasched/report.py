@@ -33,8 +33,6 @@ SWEEP_AXES = ("bandwidth", "sites", "scheduler")
 def fmt_value(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".6g")
     return str(x)
@@ -61,15 +59,9 @@ def jobs_rows(result: RunResult) -> Iterator[List[str]]:
 def summary_row(result: RunResult, axis: str = "",
                 axis_value: str = "") -> List[str]:
     s = result.summary()
-    row = []
-    for col in SUMMARY_COLUMNS:
-        if col == "axis":
-            row.append(axis)
-        elif col == "axis_value":
-            row.append(axis_value)
-        else:
-            row.append(fmt_value(s[col]))
-    return row
+    s["axis"] = axis
+    s["axis_value"] = axis_value
+    return [fmt_value(s[col]) for col in SUMMARY_COLUMNS]
 
 
 def _write_csv(path: str, header: List[str],

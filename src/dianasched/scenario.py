@@ -4,13 +4,16 @@ The format is line-oriented: one `key value` or record line per
 statement, `#` comments, blank lines ignored.  See docs/scenario-format.md
 for the full grammar.  Unknown keys are rejected, and an error in one
 line's values names that line and field; checks that relate lines to
-each other (undefined or duplicate ids) are file-level.
+each other (undefined or duplicate ids) are file-level.  Each record
+type checks its own values when it is constructed, so the parser only
+converts text and adds the line number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
 from .baselines import QueueDiscipline, SchedulerKind
@@ -22,6 +25,12 @@ DemandSpec = Union[float, Tuple[float, float]]  # point value or uniform range
 
 class ScenarioError(ValueError):
     pass
+
+
+def _check_non_negative(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +60,20 @@ class BurstDef:
     per_site: bool = False  # multiply count by the resolved site count
 
     def __post_init__(self):
+        _check_non_negative("burst time", self.time)
         if self.count < 1:
             raise ValueError("burst count must be >= 1")
+        if isinstance(self.demand, tuple):
+            lo, hi = self.demand
+            _check_non_negative("burst demand", lo)
+            _check_non_negative("burst demand", hi)
+            if hi < lo:
+                raise ValueError(f"burst demand range {lo!r}:{hi!r} is inverted")
+        else:
+            _check_non_negative("burst demand", self.demand)
         if self.procs < 1:
             raise ValueError("burst procs must be >= 1")
+        _check_non_negative("burst data", self.data)
 
 
 @dataclass(frozen=True)
@@ -66,10 +85,20 @@ class FaultDef:
     def __post_init__(self):
         if self.action not in ("crash", "register", "deregister"):
             raise ValueError(f"unknown fault action {self.action!r}")
+        _check_non_negative("fault time", self.time)
 
 
 @dataclass
 class Scenario:
+    """A whole scenario.
+
+    Each field whose default is a bool, an enum, an int or a float is a
+    scalar setting, declared here once: the parser converts its text by
+    the default's type and serialize_scenario writes it.  A setting with
+    a range also has a _SETTING_RANGES entry, and every setting has a row
+    in docs/scenario-format.md's table.
+    """
+
     scheduler: SchedulerKind = SchedulerKind.DIANA
     queue: QueueDiscipline = QueueDiscipline.PRIORITY_MULTIQUEUE
     thrs: float = 0.3  # congestion threshold, administrator-configurable
@@ -174,58 +203,34 @@ def _check_setting(key: str, value, where: str = "") -> None:
         raise ScenarioError(f"{where}{key} must be {rule}, got {value!r}")
 
 
-_SCALAR_KEYS = {
-    "scheduler": lambda v: SchedulerKind(v),
-    "queue": lambda v: QueueDiscipline(v),
-    "thrs": float,
-    "batch_size": int,
-    "migration_cutoff": float,
-    "migration_enabled": _parse_bool,
-    "poll_interval": float,
-    "echo_interval": float,
-    "echo_retries": int,
-    "rate_interval": float,
-    "alpha": float,
-    "b_ref": float,
-    "duration_cap": float,
-    "site_count": int,
-}
+# Each scalar setting, by name, with the converter its default's type
+# gives: a boolean spelling, an enum value, an int or a float.
+_SETTINGS = {f.name: _parse_bool if type(f.default) is bool else type(f.default)
+             for f in fields(Scenario)
+             if isinstance(f.default, (int, float, Enum))}
 
 
 def _parse_kv(parts: List[str], required: List[str], lineno: int,
               optional: Optional[Dict[str, str]] = None) -> Dict[str, str]:
     got = dict(optional or {})
-    seen = set()
     for part in parts:
-        if "=" not in part:
+        k, eq, v = part.partition("=")
+        if not eq:
             raise ScenarioError(f"line {lineno}: expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        if k not in required and k not in (optional or {}):
+        if k not in required and k not in got:  # got holds only known keys
             raise ScenarioError(f"line {lineno}: unknown field {k!r}")
         got[k] = v
-        seen.add(k)
-    missing = [k for k in required if k not in seen]
+    missing = [k for k in required if k not in got]
     if missing:
         raise ScenarioError(f"line {lineno}: missing field(s) {', '.join(missing)}")
     return got
 
 
-def _non_negative(name: str, text: str) -> float:
-    """A finite number >= 0; NaN and infinities are rejected."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {text!r}")
-    return value
-
-
-def _parse_demand(text: str, lineno: int) -> DemandSpec:
+def _parse_demand(text: str) -> DemandSpec:
     if ":" in text:
         lo, hi = text.split(":", 1)
-        lo, hi = _non_negative("demand", lo), _non_negative("demand", hi)
-        if hi < lo:
-            raise ScenarioError(f"line {lineno}: demand range {text!r} is inverted")
-        return (lo, hi)
-    return _non_negative("demand", text)
+        return (float(lo), float(hi))
+    return float(text)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -246,10 +251,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: preset must be the first statement")
         first = False
         try:
-            if key in _SCALAR_KEYS:
+            if key in _SETTINGS:
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: {key} takes one value")
-                value = _SCALAR_KEYS[key](args[0])
+                value = _SETTINGS[key](args[0])
                 if key in _SETTING_RANGES:
                     _check_setting(key, value, f"line {lineno}: ")
                 setattr(scenario, key, value)
@@ -299,19 +304,15 @@ def parse_scenario(text: str) -> Scenario:
                                lineno, {"data": "0", "kind": "mixed",
                                         "per_site": "false"})
                 scenario.bursts.append(BurstDef(
-                    time=_non_negative("time", kv["time"]), user=kv["user"],
-                    site=kv["site"],
-                    count=int(kv["count"]),
-                    demand=_parse_demand(kv["demand"], lineno),
-                    procs=int(kv["procs"]),
-                    data=_non_negative("data", kv["data"]),
+                    time=float(kv["time"]), user=kv["user"], site=kv["site"],
+                    count=int(kv["count"]), demand=_parse_demand(kv["demand"]),
+                    procs=int(kv["procs"]), data=float(kv["data"]),
                     data_site=kv["data_site"], kind=JobKind(kv["kind"]),
                     per_site=_parse_bool(kv["per_site"])))
             elif key == "fault":
                 if len(args) != 3:
                     raise ScenarioError(f"line {lineno}: fault takes action site time")
-                scenario.faults.append(
-                    FaultDef(args[0], args[1], _non_negative("time", args[2])))
+                scenario.faults.append(FaultDef(args[0], args[1], float(args[2])))
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         except ScenarioError:
@@ -322,22 +323,18 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
     """The shortest text that parses back to exactly `x`."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, Enum):
+        return x.value
     return repr(x)
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parsing it back yields an equal Scenario."""
-    lines = []
-    lines.append(f"scheduler {s.scheduler.value}")
-    lines.append(f"queue {s.queue.value}")
-    for key in ("thrs", "migration_cutoff", "poll_interval", "echo_interval",
-                "rate_interval", "alpha", "b_ref", "duration_cap"):
-        lines.append(f"{key} {_fmt(getattr(s, key))}")
-    lines.append(f"batch_size {s.batch_size}")
-    lines.append(f"echo_retries {s.echo_retries}")
-    lines.append(f"migration_enabled {'true' if s.migration_enabled else 'false'}")
+    lines = [f"{key} {_fmt(getattr(s, key))}" for key in _SETTINGS]
     for kind in JobKind:
         if kind in s.weights:
             w = s.weights[kind]
@@ -347,7 +344,6 @@ def serialize_scenario(s: Scenario) -> str:
     if s.site_template is not None:
         t = s.site_template
         lines.append(f"site_template prefix={t.site_id} nodes={t.nodes} power={_fmt(t.power)}")
-        lines.append(f"site_count {s.site_count}")
     if s.default_link is not None:
         d = s.default_link
         lines.append(f"default_link bandwidth={_fmt(d.bandwidth)} "

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dianasched.engine import Simulation
 from dianasched.report import SWEEP_AXES, apply_axis, write_run
-from dianasched.scenario import (_SCALAR_KEYS, ScenarioError, parse_scenario,
+from dianasched.scenario import (_SETTINGS, ScenarioError, parse_scenario,
                                  serialize_scenario)
 
 SITE_IDS = ["s1", "s2", "s3"]
@@ -117,7 +117,7 @@ def scenario_text(draw):
     for _ in range(draw(st.integers(0, 4))):
         key = draw(st.sampled_from(sorted(SETTINGS)))
         good, bad = SETTINGS[key]
-        if _SCALAR_KEYS[key] is float:
+        if _SETTINGS[key] is float:
             bad = bad + BAD_NUMBERS
         lines.append(f"{key} {pick(good, bad)}")
     lines = draw(st.permutations(lines))

@@ -10,6 +10,7 @@ purpose (a deliberate change of behaviour) is re-recorded with
 which prints the current tables.
 """
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -192,6 +193,18 @@ def test_run_state_is_compact():
     assert result.events is sim.events and result.events
     assert all(type(e) is tuple for e in result.events)
     assert not any(isinstance(v, dict) for e in result.events for v in e)
+
+
+def test_run_keeps_jobs_only_in_their_records():
+    """After run(), only a job's JobRecord still refers to its JobSpec;
+    the (job, submit site) pairs the workload was expanded into are gone.
+    """
+    sim = Simulation(_case("P1:diana"), SEED)
+    result = sim.run()
+    specs = [rec.spec for rec in result.jobs.values()]
+    holders = [r for r in gc.get_referrers(*specs) if r is not specs]
+    assert len(holders) == len(specs)
+    assert all(type(r) is JobRecord for r in holders)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Scenario parsing, validation and canonical serialization."""
 
+import math
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,9 @@ import pytest
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
 from dianasched.presets import scenario_preset
-from dianasched.scenario import (_SCALAR_KEYS, Scenario, ScenarioError,
-                                 parse_scenario, serialize_scenario)
+from dianasched.scenario import (_SETTINGS, BurstDef, FaultDef, Scenario,
+                                 ScenarioError, parse_scenario,
+                                 serialize_scenario)
 
 FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
 PRESET_NAMES = ("P1", "P2", "P3", "P4")
@@ -20,7 +23,7 @@ user alice quota=1
 burst time=0 user=alice site=s1 count=1 demand=5 procs=1 data_site=s1
 """
 
-FLOAT_KEYS = [k for k, parse in _SCALAR_KEYS.items() if parse is float]
+FLOAT_KEYS = [k for k, parse in _SETTINGS.items() if parse is float]
 OUT_OF_RANGE = ["thrs 1.5", "thrs -0.1", "batch_size 0", "echo_interval 0",
                 "echo_retries 0", "b_ref -1", "b_ref 0", "alpha 0",
                 "alpha 1.5", "duration_cap -3", "site_count -4"]
@@ -45,7 +48,9 @@ class TestParsing:
         assert s.bursts[0].demand == (5.0, 30.0)
 
     def test_inverted_demand_range_rejected(self):
-        with pytest.raises(ScenarioError, match="inverted"):
+        with pytest.raises(ScenarioError, match=(
+                r"^line 4: invalid burst entry: burst demand range 30\.0:5\.0 "
+                r"is inverted$")):
             parse_scenario(MINIMAL.replace("demand=5", "demand=30:5"))
 
     def test_unknown_key_names_line(self):
@@ -229,10 +234,35 @@ class TestValidation:
             parse_scenario("site s2 nodes=1 power=1\n" + line + "\n" + MINIMAL)
 
 
+def non_default(default):
+    """A value of the default's type other than it, valid on its own."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, Enum):
+        return next(m for m in type(default) if m is not default)
+    if isinstance(default, int):
+        return default + 1
+    return default / 3 or 1 / 3
+
+
 class TestSerialization:
     def test_minimal_round_trip(self):
         s = parse_scenario(MINIMAL)
         assert parse_scenario(serialize_scenario(s)) == s
+
+    # Found from Scenario's fields, so a new setting is covered at once.
+    # The fcfs queue lets any scheduler run; the template gives
+    # site_count something to expand.
+    @pytest.mark.parametrize("key", list(_SETTINGS))
+    def test_each_setting_round_trips(self, key):
+        s = parse_scenario("queue fcfs\nsite_template prefix=t nodes=1 power=1\n"
+                           + MINIMAL)
+        default = getattr(Scenario(), key)
+        setattr(s, key, non_default(default))
+        s.validate()
+        back = parse_scenario(serialize_scenario(s))
+        assert getattr(back, key) == getattr(s, key) != default
+        assert back == s
 
     # Values longer than 12 significant digits, or of large magnitude,
     # must come back exactly.
@@ -256,6 +286,29 @@ class TestSerialization:
         assert serialize_scenario(parse_scenario(text)) == text
 
 
+class TestRecordValues:
+    """Bursts and faults check their own values, also when built in code."""
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("time", -5.0, "burst time must be finite and >= 0"),
+        ("time", math.nan, "burst time must be finite and >= 0"),
+        ("data", -1.0, "burst data must be finite and >= 0"),
+        ("demand", math.inf, "burst demand must be finite and >= 0"),
+        ("demand", (1.0, math.inf), "burst demand must be finite and >= 0"),
+        ("demand", (5.0, 1.0), r"burst demand range 5\.0:1\.0 is inverted")])
+    def test_burst(self, field, value, match):
+        fields = dict(time=0.0, user="u", site="s1", count=1, demand=1.0,
+                      procs=1, data=0.0, data_site="s1", kind=JobKind.MIXED)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{match}"):
+            BurstDef(**fields)
+
+    @pytest.mark.parametrize("time", [math.nan, -1.0, math.inf])
+    def test_fault_time(self, time):
+        with pytest.raises(ValueError, match="^fault time must be finite and >= 0"):
+            FaultDef("crash", "s1", time)
+
+
 class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
@@ -272,11 +325,21 @@ class TestPresets:
         assert all(s.power == 1.0 for s in sites)
 
 
+def documented_settings():
+    """(key, default text) of each row of the scalar settings table."""
+    section = FORMAT_DOC.read_text().split("## Scalar settings", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, re.MULTILINE)
+
+
 class TestDocs:
     def test_scalar_settings_table_lists_every_scalar_key(self):
-        # site_count is documented under Sites, next to site_template.
-        section = FORMAT_DOC.read_text().split("## Scalar settings", 1)[1]
-        section = section.split("\n## ", 1)[0]
-        documented = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        documented = [key for key, _ in documented_settings()]
         assert len(documented) == len(set(documented))
-        assert set(documented) == set(_SCALAR_KEYS) - {"site_count"}
+        assert set(documented) == set(_SETTINGS)
+
+    def test_documented_defaults_are_the_defaults(self):
+        # Each default is read by its setting's own converter.
+        defaults = Scenario()
+        for key, text in documented_settings():
+            assert _SETTINGS[key](text) == getattr(defaults, key), key
