@@ -16,8 +16,8 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
-from .core import (JobSpec, RateEstimator, Topology, UnreachableSiteError,
-                   UserProfile)
+from .core import (JobKind, JobSpec, RateEstimator, Topology,
+                   UnreachableSiteError, UserProfile)
 from .costs import transfer_cost
 from .discovery import PeerRegistry
 from .queueing import MultilevelQueue, congestion_ratio, is_congested
@@ -161,7 +161,7 @@ def generate_workload(scenario: Scenario,
     order so same-time bursts keep a stable ordering.
     """
     rng = random.Random(seed)
-    site_count = len(scenario.resolved_sites())
+    site_count = scenario.resolved_site_count()
     out = []
     counter = 0
     for burst in scenario.bursts:
@@ -184,10 +184,12 @@ def generate_workload(scenario: Scenario,
 
 def workload_hash(jobs: List[Tuple[JobSpec, str]]) -> str:
     h = hashlib.sha256()
+    # A lookup per job instead of a call to Enum's `value` descriptor.
+    kind_text = {kind: kind.value for kind in JobKind}
     for job, site in jobs:
         h.update(f"{job.job_id}|{job.user_id}|{job.compute_demand!r}|"
                  f"{job.processors_required}|{job.data_size!r}|{job.data_site}|"
-                 f"{job.submit_time!r}|{job.kind.value}|{site}\n".encode())
+                 f"{job.submit_time!r}|{kind_text[job.kind]}|{site}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -255,7 +257,7 @@ class Simulation:
     """One deterministic run of a scenario under a seed."""
 
     def __init__(self, scenario: Scenario, seed: int):
-        scenario.validate()
+        site_defs = scenario.validate()
         self.scenario = scenario
         self.seed = seed
         self.now = 0.0
@@ -265,7 +267,7 @@ class Simulation:
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
         self.sites: Dict[str, SiteRuntime] = {}
-        for sdef in scenario.resolved_sites():
+        for sdef in site_defs:
             self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
         self.site_order = sorted(self.sites)  # for rate ticks and Round Robin
         self.max_nodes = max(s.node_count for s in self.sites.values())

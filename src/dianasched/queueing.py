@@ -18,7 +18,8 @@ the queue.  With C classes and n queued jobs:
 
 - `enqueue`, `remove`: a binary search and a list shift in one class,
   plus the O(C) reprioritization;
-- `ordered(1)`, the head: O(C); `ordered()`: O(n log C);
+- `ordered(1)`, the head: O(C), one `min` over the class heads, with
+  no merge built; `ordered()` and other limits: O(n log C), a merge;
 - `migration_candidates`: O(C + batch), from the class tails;
 - `jobs_ahead`: O(C), a sum of class sizes.
 """
@@ -139,15 +140,22 @@ class MultilevelQueue:
         """
         if self.discipline is QueueDiscipline.FCFS:
             return list(islice(self.jobs.values(), limit))
+        # A class's rank: its processor count under sjf, minus its
+        # priority under priority.
+        sjf = self.discipline is QueueDiscipline.SJF
+        prios = self._class_priorities
+        if limit == 1:
+            # The head is the least of the class heads.  Job ids are
+            # unique, so two keys never tie and the job is never compared.
+            heads = [(cls[1] if sjf else -prios[cls], members[0].submit_time,
+                      members[0].job_id, members[0])
+                     for cls, members in self._classes.items()]
+            return [min(heads)[3]] if heads else []
         # Lists, not generators: `merge(*generator)` sizes its argument
         # tuple by resizing, which bypasses the tuple free lists and
         # leaves them fuller, raising the heap peak of a long run.
-        if self.discipline is QueueDiscipline.SJF:
-            runs = [zip(repeat(t), members)
-                    for (_, t), members in self._classes.items()]
-        else:
-            runs = [zip(repeat(-self._class_priorities[cls]), members)
-                    for cls, members in self._classes.items()]
+        runs = [zip(repeat(cls[1] if sjf else -prios[cls]), members)
+                for cls, members in self._classes.items()]
         merged = heapq.merge(*runs, key=_service_order)
         return [job for _, job in islice(merged, limit)]
 

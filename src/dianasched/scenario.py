@@ -132,11 +132,21 @@ class Scenario:
                     for i in range(1, self.site_count + 1)]
         return out
 
-    def validate(self) -> None:
-        """Check the whole scenario; also covers scenarios built in code."""
+    def resolved_site_count(self) -> int:
+        """len(resolved_sites()), without building the sites."""
+        if self.site_template is None:
+            return len(self.sites)
+        return len(self.sites) + max(self.site_count, 0)
+
+    def validate(self) -> List[SiteDef]:
+        """Check the whole scenario and return its resolved sites.
+
+        Also covers scenarios built in code.
+        """
         if self.site_count and self.site_template is None:
             raise ScenarioError("site_count needs a site_template")
-        ids = [s.site_id for s in self.resolved_sites()]
+        sites = self.resolved_sites()
+        ids = [s.site_id for s in sites]
         if not ids:
             raise ScenarioError("scenario defines no sites")
         if len(set(ids)) != len(ids):
@@ -169,6 +179,7 @@ class Scenario:
         for f in self.faults:
             if f.site not in known_sites:
                 raise ScenarioError(f"fault references undefined site {f.site!r}")
+        return sites
 
 
 def _parse_bool(text: str) -> bool:

@@ -6,6 +6,7 @@ from dianasched.core import (JobSpec, JobKind, UnreachableSiteError,
                              UserProfile, available_bandwidth)
 from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
                               transfer_cost)
+from dianasched.engine import EventKind
 from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
 
 
@@ -51,6 +52,28 @@ def sjf_order(jobs):
 def priorities(queue):
     """Every queued job's priority by job id (priority discipline only)."""
     return {job_id: queue.priority_of(job_id) for job_id in queue.jobs}
+
+
+def assert_busy_node_seconds_conserved(sim, result):
+    """Each site's busy node-seconds equal duration x processors summed
+    over its allocations whose job completed.
+
+    The sum runs in the order of the completed events, as the engine
+    adds it up, so the floats must be equal, not merely close.
+    """
+    allocated = {}  # job id -> (site id, duration)
+    expect = dict.fromkeys(sim.sites, 0.0)
+    for _, kind, *values in result.events:
+        if kind is EventKind.ALLOCATE:
+            job_id, site_id, duration = values
+            allocated[job_id] = site_id, duration
+        elif kind is EventKind.COMPLETED:
+            job_id, site_id = values
+            assert allocated[job_id][0] == site_id
+            procs = result.jobs[job_id].spec.processors_required
+            expect[site_id] += allocated[job_id][1] * procs
+    assert {sid: site.busy_node_seconds
+            for sid, site in sim.sites.items()} == expect
 
 
 # -- reference placement -------------------------------------------------

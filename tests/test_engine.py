@@ -1,5 +1,6 @@
 """End-to-end simulator behavior on small hand-traceable scenarios."""
 
+import heapq
 import re
 from pathlib import Path
 
@@ -369,6 +370,31 @@ class TestInvariants:
         result = run_scenario(scenario_preset("P1"), seed=42)
         assert result.count(JobStatus.COMPLETED) == len(result.jobs)
         assert sizes and max(sizes) == 1
+
+    def test_queue_head_builds_no_merge(self, monkeypatch):
+        # The head is the least class head; only full views and export
+        # picks merge the class lists.  P2 queues 100 jobs of four
+        # classes on one site, and flop_greedy with sjf never exports.
+        merges, depths = [], []
+        merge = heapq.merge
+        ordered = MultilevelQueue.ordered
+
+        def counting_merge(*args, **kwargs):
+            merges.append(1)
+            return merge(*args, **kwargs)
+
+        def counting_ordered(self, *args, **kwargs):
+            depths.append(len(self._classes))
+            return ordered(self, *args, **kwargs)
+
+        monkeypatch.setattr(heapq, "merge", counting_merge)
+        monkeypatch.setattr(MultilevelQueue, "ordered", counting_ordered)
+        s = scenario_preset("P2")
+        s.scheduler, s.queue = SchedulerKind.FLOP_GREEDY, QueueDiscipline.SJF
+        result = run_scenario(s, seed=42)
+        assert result.count(JobStatus.COMPLETED) == len(result.jobs) == 100
+        assert len(depths) >= 100 and max(depths) == 4
+        assert merges == []
 
 
 class TestSiteRecord:

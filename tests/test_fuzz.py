@@ -19,6 +19,7 @@ from dianasched.engine import Simulation
 from dianasched.report import SWEEP_AXES, apply_axis, write_run
 from dianasched.scenario import (_SETTINGS, ScenarioError, parse_scenario,
                                  serialize_scenario)
+from conftest import assert_busy_node_seconds_conserved
 
 SITE_IDS = ["s1", "s2", "s3"]
 USER_IDS = ["u1", "u2"]
@@ -137,6 +138,7 @@ def _run(text):
                               + s["rejected_unschedulable"] + s["pending"])
     for site in sim.sites.values():
         assert 0 <= site.idle_nodes <= site.node_count
+    assert_busy_node_seconds_conserved(sim, result)
     with tempfile.TemporaryDirectory() as out:
         paths = write_run(result, out)
         return [Path(paths[k]).read_bytes() for k in ("jobs", "summary")]

@@ -24,6 +24,7 @@ from dianasched.core import JobSpec
 from dianasched.engine import JobRecord, Simulation, run_scenario
 from dianasched.presets import scenario_preset
 from dianasched.report import apply_axis, write_run
+from conftest import assert_busy_node_seconds_conserved
 
 SEED = 42
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -180,6 +181,14 @@ def test_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
 def test_trace_matches_golden(name):
     assert trace_digest(name) == TRACE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_busy_node_seconds_conserved(name):
+    sim = Simulation(_case(name), SEED)
+    result = sim.run()
+    assert_busy_node_seconds_conserved(sim, result)
+    assert any(site.busy_node_seconds for site in sim.sites.values())
 
 
 def test_run_state_is_compact():

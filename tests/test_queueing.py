@@ -294,7 +294,9 @@ class TestServiceOrderOracle:
                 arrivals.append(job.job_id)
             expect = self.full_sort(q, arrivals)
             assert q.ordered() == expect
-            assert q.ordered(1) == expect[:1]
+            # ordered(1) reads the class heads; other limits merge.
+            for k in (0, 1, 2, len(q), len(q) + 3):
+                assert q.ordered(k) == expect[:k]
             if discipline is not QueueDiscipline.PRIORITY_MULTIQUEUE:
                 continue
             assert priorities(q) == pytest.approx(

@@ -11,7 +11,7 @@ from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
 from dianasched.presets import scenario_preset
 from dianasched.scenario import (_SETTINGS, BurstDef, FaultDef, Scenario,
-                                 ScenarioError, parse_scenario,
+                                 ScenarioError, SiteDef, parse_scenario,
                                  serialize_scenario)
 
 FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
@@ -83,6 +83,19 @@ class TestParsing:
             " data_site=node001\n")
         ids = [d.site_id for d in s.resolved_sites()]
         assert ids == ["node001", "node002", "node003"]
+        assert s.validate() == s.resolved_sites()
+
+    @pytest.mark.parametrize("sites,template,count", [
+        ([], None, 0), (["a"], None, 0), (["a", "b"], "t", 3), ([], "t", 0),
+        (["a"], "t", -2), (["a"], None, 4)])
+    def test_resolved_site_count_matches_the_sites(self, sites, template,
+                                                   count):
+        # Counted without building them, also for values validate rejects.
+        s = Scenario(sites=[SiteDef(sid, 1, 1.0) for sid in sites],
+                     site_template=(SiteDef(template, 1, 1.0)
+                                    if template else None),
+                     site_count=count)
+        assert s.resolved_site_count() == len(s.resolved_sites())
 
     def test_fault_lines(self):
         s = parse_scenario(MINIMAL + "fault crash s1 10\nfault register s1 60\n")
