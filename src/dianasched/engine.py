@@ -257,7 +257,6 @@ class Simulation:
     """One deterministic run of a scenario under a seed."""
 
     def __init__(self, scenario: Scenario, seed: int):
-        site_defs = scenario.validate()
         self.scenario = scenario
         self.seed = seed
         self.now = 0.0
@@ -267,7 +266,7 @@ class Simulation:
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
         self.sites: Dict[str, SiteRuntime] = {}
-        for sdef in site_defs:
+        for sdef in scenario.resolved_sites():
             self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
         self.site_order = sorted(self.sites)  # for rate ticks and Round Robin
         self.max_nodes = max(s.node_count for s in self.sites.values())
@@ -512,7 +511,7 @@ class Simulation:
 
     def _check_congestion(self, site: SiteRuntime) -> None:
         # Only the priority discipline exports; it implies the diana
-        # scheduler (Scenario.validate).
+        # scheduler, which Scenario checks when it is constructed.
         if (self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE
                 or not self.scenario.migration_enabled):
             return

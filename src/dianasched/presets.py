@@ -97,19 +97,17 @@ def _p3() -> Scenario:
 def _p4() -> Scenario:
     # Job count scales with the site count (resolved at run time): 40
     # bursts of one job per site, all entering at site001.
-    scenario = Scenario(
+    bursts = [BurstDef(time=1.0 * i, user="u1", site="site001", count=1,
+                       demand=3.0, procs=1, data=1e6, data_site="site001",
+                       kind=JobKind.COMPUTE_INTENSIVE, per_site=True)
+              for i in range(40)]
+    return Scenario(
         site_template=SiteDef("site", 5, 1.0),
         site_count=5,
         default_link=NetworkLink("*", "*", 1000.0),
         users=[UserProfile("u1", 20.0)],
+        bursts=bursts,
+        # Frequent polls keep distribution even at every scale, so message
+        # volume per job is dominated by the poll traffic itself.
+        poll_interval=5.0,
     )
-    scenario.bursts = [
-        BurstDef(time=1.0 * i, user="u1", site="site001", count=1,
-                 demand=3.0, procs=1, data=1e6, data_site="site001",
-                 kind=JobKind.COMPUTE_INTENSIVE, per_site=True)
-        for i in range(40)
-    ]
-    # Frequent polls keep distribution even at every scale, so message
-    # volume per job is dominated by the poll traffic itself.
-    scenario.poll_interval = 5.0
-    return scenario

@@ -27,6 +27,7 @@ the queue.  With C classes and n queued jobs:
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from itertools import islice, repeat
 from operator import attrgetter
@@ -55,11 +56,11 @@ class MultilevelQueue:
     """The per-site queue under any of the three disciplines.
 
     Under `priority`, every job of a (user, processors) class has the
-    same priority, so one value per class is kept.  The per-user counts,
-    the class lists and T are maintained incrementally and must always
-    match a from-scratch recomputation; the test suite checks that
-    equivalence, and the service order against a full sort, after random
-    operation sequences.
+    same priority, so one value per class is kept.  The class lists are
+    maintained incrementally; the per-user counts, T and Q are derived
+    from them on each reprioritization.  The test suite checks the
+    priorities against a from-scratch recomputation, and the service
+    order against a full sort, after random operation sequences.
     """
 
     def __init__(self, users: Mapping[str, UserProfile],
@@ -67,18 +68,12 @@ class MultilevelQueue:
         self.users = users
         self.discipline = discipline
         self.jobs: Dict[str, JobSpec] = {}  # in arrival order
-        self._user_counts: Dict[str, int] = {}
         # (user, processors) -> its jobs by (submit_time, job_id)
         self._classes: Dict[Tuple[str, int], List[JobSpec]] = {}
         self._class_priorities: Dict[Tuple[str, int], float] = {}
-        self._total_processors = 0
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    @property
-    def quota_sum(self) -> float:
-        return sum(self.users[u].quota for u in self._user_counts)
 
     # -- transitions ---------------------------------------------------
 
@@ -89,39 +84,41 @@ class MultilevelQueue:
         if job.user_id not in self.users:
             raise KeyError(f"unknown user {job.user_id}")
         self.jobs[job.job_id] = job
-        _bump(self._user_counts, job.user_id, 1)
         # Inserted in place: transfers and migrations deliver jobs out of
         # submit order.
         insort(self._classes.setdefault(_class_of(job), []), job,
                key=_submit_order)
-        self._total_processors += job.processors_required
         self.reprioritize()
 
     def remove(self, job_id: str) -> JobSpec:
         job = self.jobs.pop(job_id)
-        _bump(self._user_counts, job.user_id, -1)
         cls = _class_of(job)
         members = self._classes[cls]
         del members[bisect_left(members, _submit_order(job),
                                 key=_submit_order)]
         if not members:
             del self._classes[cls]
-        self._total_processors -= job.processors_required
         self.reprioritize()
         return job
 
     def reprioritize(self) -> None:
-        """Recompute every class's priority from the current aggregates.
+        """Recompute every class's priority from the queued classes.
 
         Idempotent: priorities are a pure function of the queued multiset
-        and the user profiles.  A no-op under `fcfs` and `sjf`.
+        and the user profiles.  Q is summed exactly (`math.fsum`), so it
+        does not depend on the order the users' jobs arrived in.  A no-op
+        under `fcfs` and `sjf`.
         """
         if self.discipline is not QueueDiscipline.PRIORITY_MULTIQUEUE:
             return
-        big_q = self.quota_sum
-        big_t = self._total_processors
+        counts: Dict[str, int] = {}  # queued jobs per user
+        big_t = 0  # processors requested by all queued jobs
+        for (user, t), members in self._classes.items():
+            counts[user] = counts.get(user, 0) + len(members)
+            big_t += t * len(members)
+        big_q = math.fsum(self.users[user].quota for user in counts)
         self._class_priorities = {
-            (user, t): priority(self._user_counts[user],
+            (user, t): priority(counts[user],
                                 (self.users[user].quota * big_t) / (big_q * t))
             for user, t in self._classes}
 
@@ -184,13 +181,6 @@ def _service_order(ranked: Tuple[float, JobSpec]) -> tuple:
     """Sort key of a (class rank, job) pair: rank, submit time, job id."""
     rank, job = ranked
     return rank, job.submit_time, job.job_id
-
-
-def _bump(counts: dict, key, by: int) -> None:
-    """Add `by` to a count, dropping the key when it reaches zero."""
-    counts[key] = counts.get(key, 0) + by
-    if counts[key] == 0:
-        del counts[key]
 
 
 def congestion_ratio(arrival_rate: float, service_rate: float) -> float:

@@ -6,7 +6,6 @@ dependence, so identical runs serialize to identical bytes.
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import io
@@ -94,33 +93,32 @@ def write_run(result: RunResult, out_dir: str) -> Dict[str, str]:
 
 
 def apply_axis(scenario: Scenario, axis: str, value: str) -> Scenario:
-    """Return a copy of the scenario with one sweep axis applied.
+    """Return the scenario with one sweep axis applied, as a new Scenario.
 
     A value the axis cannot take raises ScenarioError naming both.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
-    out = copy.deepcopy(scenario)
     try:
         if axis == "bandwidth":
             bw = float(value)
-            if out.default_link is not None:
-                out.default_link = dataclasses.replace(out.default_link,
-                                                       bandwidth=bw)
-            out.links = [dataclasses.replace(l, bandwidth=bw) for l in out.links]
+            link = scenario.default_link
+            changes = dict(
+                default_link=link if link is None
+                else dataclasses.replace(link, bandwidth=bw),
+                links=[dataclasses.replace(l, bandwidth=bw) for l in scenario.links])
         elif axis == "sites":
-            if out.site_template is None:
+            if scenario.site_template is None:
                 raise ValueError("sites axis needs a site_template in the scenario")
-            out.site_count = int(value)
+            changes = dict(site_count=int(value))
         else:
-            out.scheduler = SchedulerKind(value)
-            if (out.scheduler is not SchedulerKind.DIANA
-                    and out.queue is QueueDiscipline.PRIORITY_MULTIQUEUE):
-                out.queue = QueueDiscipline.FCFS
-        out.validate()
+            changes = dict(scheduler=SchedulerKind(value))
+            if (changes["scheduler"] is not SchedulerKind.DIANA
+                    and scenario.queue is QueueDiscipline.PRIORITY_MULTIQUEUE):
+                changes["queue"] = QueueDiscipline.FCFS
+        return dataclasses.replace(scenario, **changes)
     except ValueError as exc:  # ScenarioError included
         raise ScenarioError(f"sweep {axis} value {value!r}: {exc}") from exc
-    return out
 
 
 def run_sweep(scenario: Scenario, axis: str, values: Sequence[str], seed: int,

@@ -6,7 +6,8 @@ for the full grammar.  Unknown keys are rejected, and an error in one
 line's values names that line and field; checks that relate lines to
 each other (undefined or duplicate ids) are file-level.  Each record
 type checks its own values when it is constructed, so the parser only
-converts text and adds the line number.
+converts text and adds the line number; Scenario itself runs the
+file-level checks when it is constructed, and is frozen afterwards.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .baselines import QueueDiscipline, SchedulerKind
 from .core import JobKind, NetworkLink, UserProfile
@@ -88,15 +90,21 @@ class FaultDef:
         _check_non_negative("fault time", self.time)
 
 
-@dataclass
+_RECORDS = ("sites", "links", "users", "bursts", "faults")  # Scenario's tuples
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A whole scenario.
+    """A whole scenario, checked once when it is built.
 
     Each field whose default is a bool, an enum, an int or a float is a
     scalar setting, declared here once: the parser converts its text by
     the default's type and serialize_scenario writes it.  A setting with
     a range also has a _SETTING_RANGES entry, and every setting has a row
-    in docs/scenario-format.md's table.
+    in docs/scenario-format.md's table.  The instance is frozen, its
+    record lists are tuples and its weights a read-only mapping, so a
+    Scenario that exists is valid and stays so; vary one with
+    dataclasses.replace, which checks the result again.
     """
 
     scheduler: SchedulerKind = SchedulerKind.DIANA
@@ -112,15 +120,15 @@ class Scenario:
     alpha: float = 0.2
     b_ref: float = REFERENCE_BANDWIDTH
     duration_cap: float = 0.0  # 0 disables the cap
-    weights: Dict[JobKind, CostWeights] = field(default_factory=dict)
-    sites: List[SiteDef] = field(default_factory=list)
+    weights: Mapping[JobKind, CostWeights] = field(default_factory=dict)
+    sites: Tuple[SiteDef, ...] = ()
     site_template: Optional[SiteDef] = None  # site_id is a name prefix
     site_count: int = 0
     default_link: Optional[NetworkLink] = None
-    links: List[NetworkLink] = field(default_factory=list)
-    users: List[UserProfile] = field(default_factory=list)
-    bursts: List[BurstDef] = field(default_factory=list)
-    faults: List[FaultDef] = field(default_factory=list)
+    links: Tuple[NetworkLink, ...] = ()
+    users: Tuple[UserProfile, ...] = ()
+    bursts: Tuple[BurstDef, ...] = ()
+    faults: Tuple[FaultDef, ...] = ()
 
     def resolved_sites(self) -> List[SiteDef]:
         """Explicit sites plus the template expansion, in declaration order."""
@@ -136,17 +144,15 @@ class Scenario:
         """len(resolved_sites()), without building the sites."""
         if self.site_template is None:
             return len(self.sites)
-        return len(self.sites) + max(self.site_count, 0)
+        return len(self.sites) + self.site_count
 
-    def validate(self) -> List[SiteDef]:
-        """Check the whole scenario and return its resolved sites.
-
-        Also covers scenarios built in code.
-        """
+    def __post_init__(self):
+        for name in _RECORDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         if self.site_count and self.site_template is None:
             raise ScenarioError("site_count needs a site_template")
-        sites = self.resolved_sites()
-        ids = [s.site_id for s in sites]
+        ids = [s.site_id for s in self.resolved_sites()]
         if not ids:
             raise ScenarioError("scenario defines no sites")
         if len(set(ids)) != len(ids):
@@ -179,7 +185,6 @@ class Scenario:
         for f in self.faults:
             if f.site not in known_sites:
                 raise ScenarioError(f"fault references undefined site {f.site!r}")
-        return sites
 
 
 def _parse_bool(text: str) -> bool:
@@ -245,10 +250,10 @@ def _parse_demand(text: str) -> DemandSpec:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; errors carry line numbers."""
+    """Parse scenario text into one Scenario; errors carry line numbers."""
     from .presets import scenario_preset  # late import, presets build Scenarios
 
-    scenario = Scenario()
+    kw = {"weights": {}, **{name: [] for name in _RECORDS}}
     first = True
     link_lines: Dict[frozenset, int] = {}  # links are symmetric
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,26 +273,29 @@ def parse_scenario(text: str) -> Scenario:
                 value = _SETTINGS[key](args[0])
                 if key in _SETTING_RANGES:
                     _check_setting(key, value, f"line {lineno}: ")
-                setattr(scenario, key, value)
+                kw[key] = value
             elif key == "preset":
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: preset takes one name")
-                scenario = scenario_preset(args[0])
+                preset = scenario_preset(args[0])
+                kw = {f.name: getattr(preset, f.name) for f in fields(Scenario)}
+                kw["weights"] = dict(preset.weights)
+                kw.update((name, list(kw[name])) for name in _RECORDS)
             elif key == "weights":
                 if len(args) != 4:
                     raise ScenarioError(f"line {lineno}: weights takes kind wc wd wn")
                 kind = JobKind(args[0])
-                scenario.weights[kind] = CostWeights(*(float(a) for a in args[1:]))
+                kw["weights"][kind] = CostWeights(*(float(a) for a in args[1:]))
             elif key == "site":
                 kv = _parse_kv(args[1:], ["nodes", "power"], lineno)
-                scenario.sites.append(SiteDef(args[0], int(kv["nodes"]), float(kv["power"])))
+                kw["sites"].append(SiteDef(args[0], int(kv["nodes"]), float(kv["power"])))
             elif key == "site_template":
                 kv = _parse_kv(args, ["nodes", "power"], lineno, {"prefix": "site"})
-                scenario.site_template = SiteDef(kv["prefix"], int(kv["nodes"]),
-                                                 float(kv["power"]))
+                kw["site_template"] = SiteDef(kv["prefix"], int(kv["nodes"]),
+                                              float(kv["power"]))
             elif key == "default_link":
                 kv = _parse_kv(args, ["bandwidth"], lineno, {"latency": "0", "load": "0"})
-                scenario.default_link = NetworkLink(
+                kw["default_link"] = NetworkLink(
                     "*", "*", float(kv["bandwidth"]), float(kv["latency"]),
                     float(kv["load"]))
             elif key == "link":
@@ -303,18 +311,18 @@ def parse_scenario(text: str) -> Scenario:
                         f"{args[1]} (first on line {link_lines[pair]})")
                 link_lines[pair] = lineno
                 kv = _parse_kv(args[2:], ["bandwidth"], lineno, {"latency": "0", "load": "0"})
-                scenario.links.append(NetworkLink(
+                kw["links"].append(NetworkLink(
                     args[0], args[1], float(kv["bandwidth"]), float(kv["latency"]),
                     float(kv["load"])))
             elif key == "user":
                 kv = _parse_kv(args[1:], ["quota"], lineno)
-                scenario.users.append(UserProfile(args[0], float(kv["quota"])))
+                kw["users"].append(UserProfile(args[0], float(kv["quota"])))
             elif key == "burst":
                 kv = _parse_kv(args, ["time", "user", "site", "count", "demand",
                                       "procs", "data_site"],
                                lineno, {"data": "0", "kind": "mixed",
                                         "per_site": "false"})
-                scenario.bursts.append(BurstDef(
+                kw["bursts"].append(BurstDef(
                     time=float(kv["time"]), user=kv["user"], site=kv["site"],
                     count=int(kv["count"]), demand=_parse_demand(kv["demand"]),
                     procs=int(kv["procs"]), data=float(kv["data"]),
@@ -323,15 +331,14 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "fault":
                 if len(args) != 3:
                     raise ScenarioError(f"line {lineno}: fault takes action site time")
-                scenario.faults.append(FaultDef(args[0], args[1], float(args[2])))
+                kw["faults"].append(FaultDef(args[0], args[1], float(args[2])))
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         except ScenarioError:
             raise
         except (ValueError, KeyError) as exc:
             raise ScenarioError(f"line {lineno}: invalid {key} entry: {exc}") from exc
-    scenario.validate()
-    return scenario
+    return Scenario(**kw)
 
 
 def _fmt(x) -> str:

@@ -5,11 +5,11 @@ lines as they execute.  The final conservation check re-examines every
 simulation run performed by the earlier criteria.
 """
 
-import copy
+import dataclasses
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
@@ -152,9 +152,8 @@ def test_ac5_queue_discipline_ordering_on_p2():
             ("priority", SchedulerKind.DIANA, QueueDiscipline.PRIORITY_MULTIQUEUE),
             ("sjf", SchedulerKind.ROUND_ROBIN, QueueDiscipline.SJF),
             ("fcfs", SchedulerKind.ROUND_ROBIN, QueueDiscipline.FCFS)]:
-        scenario = scenario_preset("P2")
-        scenario.scheduler = sched
-        scenario.queue = q
+        scenario = dataclasses.replace(scenario_preset("P2"), scheduler=sched,
+                                       queue=q)
         result = _track(run_scenario(scenario, seed=1))
         totals[label] = result.summary()["total_exec_time"]
     ordering_ok = (totals["priority"] <= totals["sjf"] * 1.01
@@ -219,11 +218,12 @@ def test_ac7_message_scalability_on_p4():
                                          seed=1))
             vals.append(result.summary()["messages_per_job"])
         per_job[sched] = vals
-    x = np.array(site_counts, dtype=float)
-    y = np.array(per_job["flop_greedy"])
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    r_squared = 1.0 - (resid @ resid) / ((y - y.mean()) @ (y - y.mean()))
+    x, y = [float(n) for n in site_counts], per_job["flop_greedy"]
+    slope, intercept = statistics.linear_regression(x, y)
+    mean = statistics.fmean(y)
+    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = sum((yi - mean) ** 2 for yi in y)
+    r_squared = 1.0 - ss_res / ss_tot
     diana_factor = max(per_job["diana"]) / per_job["diana"][0]
     elapsed = time.monotonic() - started
     _report(7, r_squared >= 0.99 and diana_factor <= 2.0 and elapsed < 120.0,

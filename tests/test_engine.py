@@ -1,5 +1,6 @@
 """End-to-end simulator behavior on small hand-traceable scenarios."""
 
+import dataclasses
 import heapq
 import re
 from pathlib import Path
@@ -322,8 +323,8 @@ class TestMigrationGate:
         # but never under FCFS, even though the diana scheduler runs both.
         exported = run_scenario(_congestion_scenario(True), seed=7)
         assert any(e["kind"] == "migration_pick" for e in exported.trace)
-        fcfs = _congestion_scenario(True)
-        fcfs.queue = QueueDiscipline.FCFS
+        fcfs = dataclasses.replace(_congestion_scenario(True),
+                                   queue=QueueDiscipline.FCFS)
         result = run_scenario(fcfs, seed=7)
         assert not any(e["kind"].startswith("migrat") for e in result.trace)
         assert all(r.migrations == 0 for r in result.records())
@@ -389,8 +390,9 @@ class TestInvariants:
 
         monkeypatch.setattr(heapq, "merge", counting_merge)
         monkeypatch.setattr(MultilevelQueue, "ordered", counting_ordered)
-        s = scenario_preset("P2")
-        s.scheduler, s.queue = SchedulerKind.FLOP_GREEDY, QueueDiscipline.SJF
+        s = dataclasses.replace(scenario_preset("P2"),
+                                scheduler=SchedulerKind.FLOP_GREEDY,
+                                queue=QueueDiscipline.SJF)
         result = run_scenario(s, seed=42)
         assert result.count(JobStatus.COMPLETED) == len(result.jobs) == 100
         assert len(depths) >= 100 and max(depths) == 4

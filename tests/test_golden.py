@@ -10,6 +10,7 @@ purpose (a deliberate change of behaviour) is re-recorded with
 which prints the current tables.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -142,7 +143,7 @@ def _case(name):
         scheduler, queue = arg.split("/")
     scenario = apply_axis(scenario_preset(preset), "scheduler", scheduler)
     if queue is not None:
-        scenario.queue = QueueDiscipline(queue)
+        scenario = dataclasses.replace(scenario, queue=QueueDiscipline(queue))
     return scenario
 
 

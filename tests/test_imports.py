@@ -1,8 +1,10 @@
-"""No module under src/dianasched/ imports a name it never uses.
+"""No module under src/dianasched/ imports a name it never uses or
+holds an `assert` statement.
 
 No linter ships with the project's dependencies, so this stands in for
 the unused-import check.  `__init__.py` is skipped: its imports are the
-package's exports.
+package's exports.  Engine invariants raise typed errors instead of
+asserting, because `python -O` strips every `assert`.
 """
 
 import ast
@@ -28,6 +30,12 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def assert_lines(source: str):
+    """The line of each `assert` statement in a module."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Assert))
+
+
 def test_finds_an_unused_import():
     assert unused_imports("import os\nfrom typing import List, Dict\n"
                           "x: List[int] = []\n") == ["Dict", "os"]
@@ -36,3 +44,12 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []

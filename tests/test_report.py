@@ -1,5 +1,7 @@
 """CSV emission, sweep axes and run comparison."""
 
+import dataclasses
+
 import pytest
 
 from dianasched.baselines import SchedulerKind
@@ -56,8 +58,7 @@ class TestWriteRun:
         assert len(list(rows)) == 3
 
     def test_empty_workload_headers_only(self, tmp_path):
-        scenario = small_scenario()
-        scenario.bursts = []
+        scenario = dataclasses.replace(small_scenario(), bursts=[])
         paths = write_run(run_scenario(scenario, seed=0), str(tmp_path))
         with open(paths["jobs"]) as fh:
             lines = fh.read().splitlines()
@@ -116,8 +117,9 @@ class TestSweepAndCompare:
     def test_compare_rejects_hash_mismatch(self):
         r1 = run_scenario(small_scenario(), seed=1)
         scenario = small_scenario()
-        scenario.bursts[0] = scenario.bursts[0].__class__(
-            **{**scenario.bursts[0].__dict__, "count": 5})
+        scenario = dataclasses.replace(scenario, bursts=[
+            dataclasses.replace(scenario.bursts[0], count=5),
+            *scenario.bursts[1:]])
         r2 = run_scenario(scenario, seed=1)
         with pytest.raises(CompareError, match="hash mismatch"):
             compare([dict(zip(SUMMARY_COLUMNS, summary_row(r1))),

@@ -1,5 +1,6 @@
 """Scenario parsing, validation and canonical serialization."""
 
+import dataclasses
 import math
 import re
 from enum import Enum
@@ -9,13 +10,17 @@ import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
+from dianasched.costs import CostWeights
+from dianasched.engine import Simulation
 from dianasched.presets import scenario_preset
+from dianasched.report import run_sweep
 from dianasched.scenario import (_SETTINGS, BurstDef, FaultDef, Scenario,
                                  ScenarioError, SiteDef, parse_scenario,
                                  serialize_scenario)
 
 FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
 PRESET_NAMES = ("P1", "P2", "P3", "P4")
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
 
 MINIMAL = """
 site s1 nodes=2 power=1.0
@@ -83,18 +88,29 @@ class TestParsing:
             " data_site=node001\n")
         ids = [d.site_id for d in s.resolved_sites()]
         assert ids == ["node001", "node002", "node003"]
-        assert s.validate() == s.resolved_sites()
+        assert all((d.nodes, d.power) == (5, 2.0) for d in s.resolved_sites())
 
     @pytest.mark.parametrize("sites,template,count", [
         ([], None, 0), (["a"], None, 0), (["a", "b"], "t", 3), ([], "t", 0),
         (["a"], "t", -2), (["a"], None, 4)])
     def test_resolved_site_count_matches_the_sites(self, sites, template,
                                                    count):
-        # Counted without building them, also for values validate rejects.
-        s = Scenario(sites=[SiteDef(sid, 1, 1.0) for sid in sites],
-                     site_template=(SiteDef(template, 1, 1.0)
-                                    if template else None),
-                     site_count=count)
+        # Counted without building them.  Sites that resolve to nothing,
+        # or a count without a template or below zero, are refused when
+        # the Scenario is constructed, so no count is ever asked of them.
+        refused = {((), None, 0): "^scenario defines no sites$",
+                   ((), "t", 0): "^scenario defines no sites$",
+                   (("a",), "t", -2): "^site_count must be >= 0, got -2$",
+                   (("a",), None, 4): "^site_count needs a site_template$"}
+        kw = dict(sites=[SiteDef(sid, 1, 1.0) for sid in sites],
+                  site_template=SiteDef(template, 1, 1.0) if template else None,
+                  site_count=count)
+        message = refused.get((tuple(sites), template, count))
+        if message is not None:
+            with pytest.raises(ScenarioError, match=message):
+                Scenario(**kw)
+            return
+        s = Scenario(**kw)
         assert s.resolved_site_count() == len(s.resolved_sites())
 
     def test_fault_lines(self):
@@ -180,10 +196,10 @@ class TestValidation:
         scenario = parse_scenario("site s2 nodes=1 power=1\n"
                                   "link s1 s2 bandwidth=10\n" + MINIMAL)
         link = scenario.links[0]
-        scenario.links.append(type(link)(link.to_site, link.from_site, 1000.0))
+        reverse = type(link)(link.to_site, link.from_site, 1000.0)
         with pytest.raises(ScenarioError,
                            match="^duplicate links between one pair of sites$"):
-            scenario.validate()
+            dataclasses.replace(scenario, links=[*scenario.links, reverse])
 
     # A site reaches itself without a link, so the line can only be a typo.
     def test_self_link(self):
@@ -196,9 +212,9 @@ class TestValidation:
         scenario = parse_scenario("site s2 nodes=1 power=1\n"
                                   "link s1 s2 bandwidth=10\n" + MINIMAL)
         link = scenario.links[0]
-        scenario.links[0] = type(link)(link.to_site, link.to_site, 10.0)
+        loop = type(link)(link.to_site, link.to_site, 10.0)
         with pytest.raises(ScenarioError, match="^link from s2 to itself$"):
-            scenario.validate()
+            dataclasses.replace(scenario, links=[loop])
 
     def test_priority_queue_needs_diana(self):
         with pytest.raises(ScenarioError, match="priority queue"):
@@ -234,9 +250,8 @@ class TestValidation:
                                            ("duration_cap", -3.0)])
     def test_validate_checks_settings_built_in_code(self, key, value):
         scenario = parse_scenario(MINIMAL)
-        setattr(scenario, key, value)
         with pytest.raises(ScenarioError, match=f"^{key} must be"):
-            scenario.validate()
+            dataclasses.replace(scenario, **{key: value})
 
     @pytest.mark.parametrize("line,field", [
         ("link s1 s2 bandwidth=0", "bandwidth"),
@@ -245,6 +260,38 @@ class TestValidation:
     def test_link_and_user_values_checked_at_parse_time(self, line, field):
         with pytest.raises(ScenarioError, match=f"line 2: .*{field}"):
             parse_scenario("site s2 nodes=1 power=1\n" + line + "\n" + MINIMAL)
+
+
+class TestFrozen:
+    """A Scenario is checked once, when it is constructed, and cannot
+    change afterwards, so nothing downstream checks it again."""
+
+    def test_a_simulated_scenario_cannot_change(self):
+        scenario = parse_scenario(MINIMAL)
+        Simulation(scenario, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.rate_interval = 0.0
+        for name in ("sites", "links", "users", "bursts", "faults"):
+            assert type(getattr(scenario, name)) is tuple, name
+        with pytest.raises(TypeError):
+            scenario.weights[JobKind.MIXED] = CostWeights(1.0, 1.0, 1.0)
+        assert not hasattr(Scenario, "validate")
+
+    def test_checked_once_per_construction(self, monkeypatch):
+        calls = []
+        post_init = Scenario.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        Simulation(parse_scenario(MINIMAL), seed=1)
+        assert len(calls) == 1
+        calls.clear()
+        values = ["diana", "round_robin", "flop_greedy"]
+        run_sweep(parse_scenario(MINIMAL), "scheduler", values, seed=1)
+        assert len(calls) == len(values) + 1
 
 
 def non_default(default):
@@ -270,9 +317,8 @@ class TestSerialization:
     def test_each_setting_round_trips(self, key):
         s = parse_scenario("queue fcfs\nsite_template prefix=t nodes=1 power=1\n"
                            + MINIMAL)
-        default = getattr(Scenario(), key)
-        setattr(s, key, non_default(default))
-        s.validate()
+        default = DEFAULTS[key]
+        s = dataclasses.replace(s, **{key: non_default(default)})
         back = parse_scenario(serialize_scenario(s))
         assert getattr(back, key) == getattr(s, key) != default
         assert back == s
@@ -328,8 +374,10 @@ class TestPresets:
             scenario_preset("P99")
 
     def test_all_presets_validate(self):
+        # Building a preset checks it; rebuilding it checks it again.
         for name in PRESET_NAMES:
-            scenario_preset(name).validate()
+            preset = scenario_preset(name)
+            assert dataclasses.replace(preset) == preset
 
     def test_five_site_topology_shape(self):
         sites = scenario_preset("P1").sites
@@ -353,6 +401,5 @@ class TestDocs:
 
     def test_documented_defaults_are_the_defaults(self):
         # Each default is read by its setting's own converter.
-        defaults = Scenario()
         for key, text in documented_settings():
-            assert _SETTINGS[key](text) == getattr(defaults, key), key
+            assert _SETTINGS[key](text) == DEFAULTS[key], key
