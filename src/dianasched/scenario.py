@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from .baselines import QueueDiscipline, SchedulerKind
 from .core import JobKind, NetworkLink, UserProfile
 from .costs import REFERENCE_BANDWIDTH, CostWeights
+from .presets import PRESETS
 
 DemandSpec = Union[float, Tuple[float, float]]  # point value or uniform range
 
@@ -98,10 +99,11 @@ class Scenario:
     """A whole scenario, checked once when it is built.
 
     Each field whose default is a bool, an enum, an int or a float is a
-    scalar setting, declared here once: the parser converts its text by
-    the default's type and serialize_scenario writes it.  A setting with
-    a range also has a _SETTING_RANGES entry, and every setting has a row
-    in docs/scenario-format.md's table.  The instance is frozen, its
+    scalar setting, declared here once: its value must have the
+    default's type, by which the parser converts its text, and
+    serialize_scenario writes it.  A setting with a range also has a
+    _SETTING_RANGES entry, and every setting has a row in
+    docs/scenario-format.md's table.  The instance is frozen, its
     record lists are tuples and its weights a read-only mapping, so a
     Scenario that exists is valid and stays so; vary one with
     dataclasses.replace, which checks the result again.
@@ -150,6 +152,8 @@ class Scenario:
         for name in _RECORDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        for key in _SETTINGS:
+            _check_setting(key, getattr(self, key))
         if self.site_count and self.site_template is None:
             raise ScenarioError("site_count needs a site_template")
         ids = [s.site_id for s in self.resolved_sites()]
@@ -157,8 +161,6 @@ class Scenario:
             raise ScenarioError("scenario defines no sites")
         if len(set(ids)) != len(ids):
             raise ScenarioError("duplicate site ids")
-        for key in _SETTING_RANGES:
-            _check_setting(key, getattr(self, key))
         if (self.queue is QueueDiscipline.PRIORITY_MULTIQUEUE
                 and self.scheduler is not SchedulerKind.DIANA):
             raise ScenarioError("priority queue discipline requires the diana scheduler")
@@ -213,17 +215,27 @@ _SETTING_RANGES = {
 
 
 def _check_setting(key: str, value, where: str = "") -> None:
-    """Raise ScenarioError, prefixed by `where`, when `value` is out of range."""
-    test, rule = _SETTING_RANGES[key]
-    if not (math.isfinite(value) and test(value)):
-        raise ScenarioError(f"{where}{key} must be {rule}, got {value!r}")
+    """Raise ScenarioError, prefixed by `where`, unless `value` has its
+    setting's type (an int passes as a float; a bool is no number) and
+    is in its range."""
+    kind = _SETTING_TYPES[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ScenarioError(f"{where}{key} must be of type {kind.__name__}, "
+                            f"got {value!r}")
+    if key in _SETTING_RANGES:
+        test, rule = _SETTING_RANGES[key]
+        if not (math.isfinite(value) and test(value)):
+            raise ScenarioError(f"{where}{key} must be {rule}, got {value!r}")
 
 
-# Each scalar setting, by name, with the converter its default's type
-# gives: a boolean spelling, an enum value, an int or a float.
-_SETTINGS = {f.name: _parse_bool if type(f.default) is bool else type(f.default)
-             for f in fields(Scenario)
-             if isinstance(f.default, (int, float, Enum))}
+# Each scalar setting, by name, with its default's type, which its value
+# must have, and the converter that type gives its text: a boolean
+# spelling, an enum value, an int or a float.
+_SETTING_TYPES = {f.name: type(f.default) for f in fields(Scenario)
+                  if isinstance(f.default, (int, float, Enum))}
+_SETTINGS = {key: _parse_bool if kind is bool else kind
+             for key, kind in _SETTING_TYPES.items()}
 
 
 def _parse_kv(parts: List[str], required: List[str], lineno: int,
@@ -249,38 +261,43 @@ def _parse_demand(text: str) -> DemandSpec:
     return float(text)
 
 
+def _statements(text: str):
+    """(line number, words) of each statement; a `preset` line, valid
+    only first, yields its preset's statements under its own number."""
+    first = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "preset":
+            if not first:
+                # It would silently discard every statement before it.
+                raise ScenarioError(f"line {lineno}: preset must be the first statement")
+            if len(parts) != 2:
+                raise ScenarioError(f"line {lineno}: preset takes one name")
+            if parts[1] not in PRESETS:
+                raise ScenarioError(
+                    f"line {lineno}: unknown preset {parts[1]!r}; "
+                    f"known presets: {', '.join(PRESETS)}")
+            for _, words in _statements(PRESETS[parts[1]]):
+                yield lineno, words
+        else:
+            yield lineno, parts
+        first = False
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into one Scenario; errors carry line numbers."""
-    from .presets import scenario_preset  # late import, presets build Scenarios
-
     kw = {"weights": {}, **{name: [] for name in _RECORDS}}
-    first = True
     link_lines: Dict[frozenset, int] = {}  # links are symmetric
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _statements(text):
         key, args = parts[0], parts[1:]
-        if key == "preset" and not first:
-            # A preset replaces the whole scenario built so far.
-            raise ScenarioError(f"line {lineno}: preset must be the first statement")
-        first = False
         try:
             if key in _SETTINGS:
                 if len(args) != 1:
                     raise ScenarioError(f"line {lineno}: {key} takes one value")
-                value = _SETTINGS[key](args[0])
-                if key in _SETTING_RANGES:
-                    _check_setting(key, value, f"line {lineno}: ")
-                kw[key] = value
-            elif key == "preset":
-                if len(args) != 1:
-                    raise ScenarioError(f"line {lineno}: preset takes one name")
-                preset = scenario_preset(args[0])
-                kw = {f.name: getattr(preset, f.name) for f in fields(Scenario)}
-                kw["weights"] = dict(preset.weights)
-                kw.update((name, list(kw[name])) for name in _RECORDS)
+                kw[key] = _SETTINGS[key](args[0])
+                _check_setting(key, kw[key], f"line {lineno}: ")
             elif key == "weights":
                 if len(args) != 4:
                     raise ScenarioError(f"line {lineno}: weights takes kind wc wd wn")

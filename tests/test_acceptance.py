@@ -16,10 +16,10 @@ from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.cli import main
 from dianasched.core import JobKind, NetworkLink, UserProfile
 from dianasched.engine import run_scenario
-from dianasched.presets import scenario_preset
 from dianasched.queueing import MultilevelQueue, priority
 from dianasched.report import apply_axis, run_sweep
-from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
+from dianasched.scenario import (BurstDef, FaultDef, Scenario, SiteDef,
+                                 parse_scenario)
 from conftest import mk_job, mk_users, priorities, sjf_order
 from test_queueing import scratch_priorities
 
@@ -133,7 +133,7 @@ def test_ac3_congestion_migration_efficacy():
 
 def test_ac4_diana_beats_round_robin_on_p1():
     started = time.monotonic()
-    p1 = scenario_preset("P1")
+    p1 = parse_scenario("preset P1\n")
     diana = _track(run_scenario(apply_axis(p1, "scheduler", "diana"), SEED))
     rr = _track(run_scenario(apply_axis(p1, "scheduler", "round_robin"), SEED))
     ds, rs = diana.summary(), rr.summary()
@@ -152,8 +152,8 @@ def test_ac5_queue_discipline_ordering_on_p2():
             ("priority", SchedulerKind.DIANA, QueueDiscipline.PRIORITY_MULTIQUEUE),
             ("sjf", SchedulerKind.ROUND_ROBIN, QueueDiscipline.SJF),
             ("fcfs", SchedulerKind.ROUND_ROBIN, QueueDiscipline.FCFS)]:
-        scenario = dataclasses.replace(scenario_preset("P2"), scheduler=sched,
-                                       queue=q)
+        scenario = dataclasses.replace(parse_scenario("preset P2\n"),
+                                       scheduler=sched, queue=q)
         result = _track(run_scenario(scenario, seed=1))
         totals[label] = result.summary()["total_exec_time"]
     ordering_ok = (totals["priority"] <= totals["sjf"] * 1.01
@@ -187,7 +187,7 @@ def test_ac5_queue_discipline_ordering_on_p2():
 def test_ac6_bandwidth_sweep_on_p3():
     started = time.monotonic()
     bandwidths = ["10", "50", "100", "500", "1000"]
-    results = run_sweep(scenario_preset("P3"), "bandwidth", bandwidths, seed=1)
+    results = run_sweep(parse_scenario("preset P3\n"), "bandwidth", bandwidths, seed=1)
     for r in results:
         _track(r)
     execs = [r.summary()["mean_exec_time"] for r in results]
@@ -211,7 +211,7 @@ def test_ac7_message_scalability_on_p4():
     site_counts = [5, 10, 20, 40]
     per_job = {}
     for sched in ("flop_greedy", "diana"):
-        base = apply_axis(scenario_preset("P4"), "scheduler", sched)
+        base = apply_axis(parse_scenario("preset P4\n"), "scheduler", sched)
         vals = []
         for n in site_counts:
             result = _track(run_scenario(apply_axis(base, "sites", str(n)),

@@ -11,9 +11,9 @@ from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.engine import (EVENT_FIELDS, EventKind, JobStatus, Simulation,
                                SimulationError, generate_workload,
                                run_scenario, workload_hash)
-from dianasched.presets import scenario_preset
 from dianasched.queueing import MultilevelQueue
-from dianasched.scenario import BurstDef, FaultDef, Scenario, SiteDef
+from dianasched.scenario import (BurstDef, FaultDef, Scenario, SiteDef,
+                                 parse_scenario)
 from dianasched.core import JobKind, NetworkLink, UserProfile
 from test_acceptance import _congestion_scenario
 
@@ -368,7 +368,7 @@ class TestInvariants:
             return out
 
         monkeypatch.setattr(MultilevelQueue, "ordered", counting)
-        result = run_scenario(scenario_preset("P1"), seed=42)
+        result = run_scenario(parse_scenario("preset P1\n"), seed=42)
         assert result.count(JobStatus.COMPLETED) == len(result.jobs)
         assert sizes and max(sizes) == 1
 
@@ -390,7 +390,7 @@ class TestInvariants:
 
         monkeypatch.setattr(heapq, "merge", counting_merge)
         monkeypatch.setattr(MultilevelQueue, "ordered", counting_ordered)
-        s = dataclasses.replace(scenario_preset("P2"),
+        s = dataclasses.replace(parse_scenario("preset P2\n"),
                                 scheduler=SchedulerKind.FLOP_GREEDY,
                                 queue=QueueDiscipline.SJF)
         result = run_scenario(s, seed=42)

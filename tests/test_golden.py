@@ -23,8 +23,8 @@ from dianasched.baselines import QueueDiscipline
 from dianasched.cli import _load_scenario
 from dianasched.core import JobSpec
 from dianasched.engine import JobRecord, Simulation, run_scenario
-from dianasched.presets import scenario_preset
 from dianasched.report import apply_axis, write_run
+from dianasched.scenario import parse_scenario
 from conftest import assert_busy_node_seconds_conserved
 
 SEED = 42
@@ -141,7 +141,7 @@ def _case(name):
     preset, scheduler, queue = kind, arg, None
     if "/" in arg:
         scheduler, queue = arg.split("/")
-    scenario = apply_axis(scenario_preset(preset), "scheduler", scheduler)
+    scenario = apply_axis(parse_scenario(f"preset {preset}\n"), "scheduler", scheduler)
     if queue is not None:
         scenario = dataclasses.replace(scenario, queue=QueueDiscipline(queue))
     return scenario

@@ -1,10 +1,12 @@
-"""No module under src/dianasched/ imports a name it never uses or
-holds an `assert` statement.
+"""No module under src/dianasched/ imports a name it never uses, imports
+anything below its top level or holds an `assert` statement.
 
 No linter ships with the project's dependencies, so this stands in for
-the unused-import check.  `__init__.py` is skipped: its imports are the
-package's exports.  Engine invariants raise typed errors instead of
-asserting, because `python -O` strips every `assert`.
+the unused-import check.  `__init__.py` is skipped there: its imports
+are the package's exports.  An import inside a function can hide an
+import cycle, so every import sits at module top level.  Engine
+invariants raise typed errors instead of asserting, because `python -O`
+strips every `assert`.
 """
 
 import ast
@@ -30,6 +32,14 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def late_import_lines(source: str):
+    """The line of each import that is not a statement of the module body."""
+    tree = ast.parse(source)
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom))
+                  and n not in tree.body)
+
+
 def assert_lines(source: str):
     """The line of each `assert` statement in a module."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source))
@@ -44,6 +54,16 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_a_late_import():
+    assert late_import_lines("import os\ndef f():\n    from . import x\n"
+                             "    return x\nif os:\n    import re\n") == [3, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_top_level(path):
+    assert late_import_lines(path.read_text()) == []
 
 
 def test_finds_an_assert():

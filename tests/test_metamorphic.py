@@ -18,6 +18,14 @@ declaration-order relation something to reorder: faults.txt with two
 links, and migration.txt with a third user competing at the hot site and
 quotas 0.1, 0.3 and 0.2, whose float sum depends on the order it is
 taken in.  The run must not: Q sums the quotas exactly.
+
+Two more relations change how the run is made, not the model's inputs:
+
+- seed: on a base whose bursts all have fixed demands the seed draws
+  nothing, so another seed keeps jobs.csv, the trace and every summary
+  field but `seed`;
+- cap: a `duration_cap` beyond the run's final time stops nothing, so
+  it keeps both CSVs and the trace.
 """
 
 import dataclasses
@@ -29,10 +37,9 @@ import pytest
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.cli import _load_scenario
 from dianasched.core import JobKind, NetworkLink, UserProfile
-from dianasched.engine import run_scenario
-from dianasched.presets import scenario_preset
+from dianasched.engine import Simulation
 from dianasched.report import SUMMARY_COLUMNS, jobs_rows, summary_row
-from dianasched.scenario import BurstDef
+from dianasched.scenario import BurstDef, parse_scenario
 
 SEED = 42
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -45,11 +52,13 @@ CONFIGS = {
     "flop_greedy+fcfs": (SchedulerKind.FLOP_GREEDY, QueueDiscipline.FCFS),
 }
 HASH = SUMMARY_COLUMNS.index("workload_hash")
+SEED_COLUMN = SUMMARY_COLUMNS.index("seed")
+FIXED_DEMAND = ["P2", "P3", "P4", "faults.txt", "migration.txt"]
 
 
 def _base(name):
     if name in ("P1", "P2", "P3", "P4"):
-        return scenario_preset(name)
+        return parse_scenario(f"preset {name}\n")
     if name == "faults.txt+links":
         return dataclasses.replace(
             _base("faults.txt"),
@@ -103,12 +112,19 @@ RELATIONS = {"compute": double_compute, "network": double_network,
              "declarations": reverse_declarations}
 
 
+def run(scenario, seed=SEED):
+    """A run's jobs.csv rows, summary row and trace events, and its
+    final time."""
+    sim = Simulation(scenario, seed)
+    result = sim.run()
+    return list(jobs_rows(result)), summary_row(result), result.events, sim.now
+
+
 def outputs(scenario):
     """Every jobs.csv row, and the summary row without workload_hash."""
-    result = run_scenario(scenario, SEED)
-    summary = summary_row(result)
+    jobs, summary, _, _ = run(scenario)
     del summary[HASH]
-    return list(jobs_rows(result)), summary
+    return jobs, summary
 
 
 def configured(base, config):
@@ -117,8 +133,13 @@ def configured(base, config):
 
 
 @functools.lru_cache(maxsize=None)
+def base_run(base, config):
+    return run(configured(base, config))
+
+
 def base_outputs(base, config):
-    return outputs(configured(base, config))
+    jobs, summary, _, _ = base_run(base, config)
+    return jobs, summary[:HASH] + summary[HASH + 1:]
 
 
 @pytest.mark.parametrize("config", list(CONFIGS))
@@ -141,3 +162,41 @@ def test_each_relation_changes_its_scenario():
     assert reverse_declarations(users).users != users.users
     links = _base("faults.txt+links")
     assert reverse_declarations(links).links != links.links
+
+
+def _without_seed(summary):
+    return summary[:SEED_COLUMN] + summary[SEED_COLUMN + 1:]
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("base", FIXED_DEMAND)
+def test_seed_keeps_fixed_demand_outputs(base, config):
+    jobs, summary, events, _ = run(configured(base, config), seed=SEED + 1)
+    expect_jobs, expect_summary, expect_events, _ = base_run(base, config)
+    assert _without_seed(summary) == _without_seed(expect_summary)
+    assert summary[SEED_COLUMN] != expect_summary[SEED_COLUMN]
+    assert jobs == expect_jobs
+    assert events == expect_events
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("base", BASES)
+def test_cap_beyond_the_end_keeps_the_outputs(base, config):
+    expect_jobs, expect_summary, expect_events, end = base_run(base, config)
+    capped = dataclasses.replace(configured(base, config),
+                                 duration_cap=end + 1.0)
+    jobs, summary, events, _ = run(capped)
+    assert summary == expect_summary
+    assert jobs == expect_jobs
+    assert events == expect_events
+
+
+def test_seed_and_cap_relations_are_not_vacuous():
+    """The fixed-demand bases draw no demand, the seed does reach a run
+    that draws one, and a cap inside a run does cut it short."""
+    for base in FIXED_DEMAND:
+        assert not any(isinstance(b.demand, tuple) for b in _base(base).bursts)
+    assert run(_base("P1"))[0] != run(_base("P1"), seed=SEED + 1)[0]
+    jobs, _, _, end = base_run("P1", "diana")
+    capped = dataclasses.replace(_base("P1"), duration_cap=end / 2)
+    assert run(capped)[0] != jobs

@@ -12,7 +12,7 @@ from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind
 from dianasched.costs import CostWeights
 from dianasched.engine import Simulation
-from dianasched.presets import scenario_preset
+from dianasched.presets import PRESETS
 from dianasched.report import run_sweep
 from dianasched.scenario import (_SETTINGS, BurstDef, FaultDef, Scenario,
                                  ScenarioError, SiteDef, parse_scenario,
@@ -294,6 +294,23 @@ class TestFrozen:
         assert len(calls) == len(values) + 1
 
 
+class TestSettingTypes:
+    """A Scenario built in code is type-checked as well: each setting
+    must have its default's type, as the parser's conversion gives it."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 2.5), ("site_count", 2.5), ("migration_enabled", "no"),
+        ("echo_retries", 1.5), ("thrs", True), ("queue", "fcfs")])
+    def test_wrong_type_names_the_setting(self, key, value):
+        p4 = parse_scenario("preset P4\n")
+        with pytest.raises(ScenarioError, match=f"^{key} must be of type "):
+            dataclasses.replace(p4, **{key: value})
+
+    def test_an_int_is_a_float_setting(self):
+        p4 = parse_scenario("preset P4\n")
+        assert dataclasses.replace(p4, poll_interval=5).poll_interval == 5
+
+
 def non_default(default):
     """A value of the default's type other than it, valid on its own."""
     if isinstance(default, bool):
@@ -338,7 +355,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_round_trip(self, name):
-        s = scenario_preset(name)
+        s = parse_scenario(f"preset {name}\n")
+        assert parse_scenario(PRESETS[name]) == s  # a preset is its text
         text = serialize_scenario(s)
         assert parse_scenario(text) == s
         # Canonical form is a fixed point.
@@ -370,17 +388,36 @@ class TestRecordValues:
 
 class TestPresets:
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
-            scenario_preset("P99")
+        with pytest.raises(ScenarioError, match=(
+                "^line 1: unknown preset 'P99'; known presets: P1, P2, P3, P4$")):
+            parse_scenario("preset P99\n")
+
+    def test_an_error_after_a_preset_names_its_own_line(self):
+        with pytest.raises(ScenarioError, match=(
+                r"^line 2: thrs must be finite and in \[0, 1\], got 2\.0$")):
+            parse_scenario("preset P1\nthrs 2\n")
+
+    def test_a_preset_text_builds_one_scenario(self, monkeypatch):
+        calls = []
+        post_init = Scenario.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        s = parse_scenario("preset P4\nsite_count 100\n")
+        assert len(calls) == 1
+        assert s.resolved_site_count() == 100
 
     def test_all_presets_validate(self):
         # Building a preset checks it; rebuilding it checks it again.
         for name in PRESET_NAMES:
-            preset = scenario_preset(name)
+            preset = parse_scenario(f"preset {name}\n")
             assert dataclasses.replace(preset) == preset
 
     def test_five_site_topology_shape(self):
-        sites = scenario_preset("P1").sites
+        sites = parse_scenario("preset P1\n").sites
         assert [(s.site_id, s.nodes) for s in sites] == \
             [("site1", 4), ("site2", 5), ("site3", 5), ("site4", 5), ("site5", 5)]
         assert all(s.power == 1.0 for s in sites)
