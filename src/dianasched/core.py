@@ -8,7 +8,7 @@ simulated time throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -58,6 +58,9 @@ class NetworkLink:
     bandwidth: float  # Mbps
     latency: float = 0.0  # seconds
     background_load: float = 0.0  # fraction of bandwidth in [0, 1)
+    # Bandwidth left over after competing background traffic, in Mbps;
+    # derived from the two above when the link is built.
+    available: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
@@ -66,11 +69,8 @@ class NetworkLink:
             raise ValueError("link latency must be finite and >= 0")
         if not 0 <= self.background_load < 1:
             raise ValueError("link background_load must be in [0, 1)")
-
-
-def available_bandwidth(link: NetworkLink) -> float:
-    """Bandwidth left over after competing background traffic, in Mbps."""
-    return link.bandwidth * (1.0 - link.background_load)
+        object.__setattr__(self, "available",
+                           self.bandwidth * (1.0 - self.background_load))
 
 
 class RateEstimator:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import JobKind, JobSpec, NetworkLink, UnreachableSiteError, available_bandwidth
+from .core import JobKind, JobSpec, NetworkLink, UnreachableSiteError
 
 EPSILON = 1e-9  # guards the cold-start division before any job completes
 REFERENCE_BANDWIDTH = 1000.0  # Mbps
@@ -50,7 +50,7 @@ def transfer_cost(job: JobSpec, source: str, dest: str,
     if link is None:
         raise UnreachableSiteError(f"no link between {source} and {dest}")
     bits = job.data_size * 8.0
-    return link.latency + bits / (available_bandwidth(link) * 1e6)
+    return link.latency + bits / (link.available * 1e6)
 
 
 def total_cost(job: JobSpec, site, backlog: float,
@@ -80,5 +80,5 @@ def total_cost(job: JobSpec, site, backlog: float,
         d = n = 0.0
     else:
         d = transfer_cost(job, job.data_site, site.site_id, link)
-        n = b_ref / available_bandwidth(link)
+        n = b_ref / link.available
     return weights.w_c * c + weights.w_d * d + weights.w_n * n

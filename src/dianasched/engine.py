@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +69,9 @@ class EventKind(str, Enum):
 
 # The field names of each kind, in the order `Simulation._trace` takes
 # their values.  A failed_unreachable event carries `dest` only when the
-# job's data could not be staged to its chosen site.
+# job's data could not be staged to its chosen site; when no site was
+# reachable at all the log holds None there, which `RunResult.events`
+# drops.
 EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
     EventKind.SUBMIT: ("job", "site"),
     EventKind.PLACE: ("job", "dest", "transfer"),
@@ -198,10 +201,26 @@ class RunResult:
     scenario: Scenario
     seed: int
     jobs: Dict[str, JobRecord]  # in workload order
-    events: List[tuple]  # (t, kind, *values), as Simulation._trace keeps them
+    log: list  # t, kind, *values of each event in turn, from Simulation._trace
     messages: int
     utilization: Dict[str, float]
     workload_hash: str
+
+    @property
+    def events(self) -> List[tuple]:
+        """The events as `(t, kind, *values)` tuples, with `kind` an
+        `EventKind`.  Decoded from the flat log anew on each read.
+        """
+        out = []
+        log = self.log
+        i = 0
+        while i < len(log):
+            end = i + 2 + len(EVENT_FIELDS[log[i + 1]])
+            # Only a failed_unreachable without a dest ends in None.
+            out.append(tuple(log[i:end - 1] if log[end - 1] is None
+                             else log[i:end]))
+            i = end
+        return out
 
     @property
     def trace(self) -> List[dict]:
@@ -230,7 +249,7 @@ class RunResult:
         submitted = len(self.jobs)
         mean_util = (sum(self.utilization.values()) / len(self.utilization)
                      if self.utilization else 0.0)
-        return {
+        out = {
             "scheduler": self.scenario.scheduler.value,
             "queue": self.scenario.queue.value,
             "seed": self.seed,
@@ -251,6 +270,12 @@ class RunResult:
             "mean_utilization": mean_util,
             "workload_hash": self.workload_hash,
         }
+        # Event times are finite (`Simulation._at`), but sums and products
+        # of them can still overflow.
+        for key, value in out.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SimulationError(f"run's {key} is not finite: {value!r}")
+        return out
 
 
 class Simulation:
@@ -262,7 +287,7 @@ class Simulation:
         self.now = 0.0
         self._seq = 0
         self._heap: List[tuple] = []
-        self.events: List[tuple] = []
+        self.log: list = []  # flat: t, kind, *values per event
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
         self.sites: Dict[str, SiteRuntime] = {}
@@ -285,7 +310,10 @@ class Simulation:
     # -- event machinery ----------------------------------------------
 
     def _at(self, time: float, fn, *args) -> None:
-        if not time >= self.now - 1e-12:  # also rejects NaN
+        if not self.now - 1e-12 <= time < math.inf:  # also rejects NaN
+            if time == math.inf:
+                raise SimulationError(
+                    f"event time {time!r} is not finite (now {self.now!r})")
             raise SimulationError(
                 f"event scheduled in the past: {time!r} < now {self.now!r}")
         self._seq += 1
@@ -293,7 +321,7 @@ class Simulation:
 
     def _trace(self, kind: EventKind, *values) -> None:
         """Record one event; `values` follow `EVENT_FIELDS[kind]`."""
-        self.events.append((self.now, kind, *values))
+        self.log += (self.now, kind, *values)
 
     def run(self) -> RunResult:
         if self._ran:
@@ -322,7 +350,7 @@ class Simulation:
             cap_seconds = site.node_count * horizon
             util[sid] = site.busy_node_seconds / cap_seconds if cap_seconds else 0.0
         return RunResult(scenario=self.scenario, seed=self.seed,
-                         jobs=self.jobs, events=self.events,
+                         jobs=self.jobs, log=self.log,
                          messages=self.messages, utilization=util,
                          workload_hash=self.workload_digest)
 
@@ -379,7 +407,7 @@ class Simulation:
                 self._terminal(rec, JobStatus.REJECTED_UNSCHEDULABLE)
                 return
             except UnreachableSiteError:
-                self._terminal(rec, JobStatus.FAILED_UNREACHABLE)
+                self._terminal(rec, JobStatus.FAILED_UNREACHABLE, None)
                 return
             chosen = decision.chosen_site
             if chosen != site.site_id and chosen in site.snapshots:
@@ -486,9 +514,10 @@ class Simulation:
         decides.
         """
         horizon = 2 * self.scenario.poll_interval
+        now = self.now
+        is_alive = self.registry.is_alive
         return [snap for sid, snap in site.snapshots.items()
-                if self.now - snap.snapshot_time <= horizon
-                and self.registry.is_alive(sid)]
+                if now - snap.snapshot_time <= horizon and is_alive(sid)]
 
     # -- periodic ticks ------------------------------------------------
 

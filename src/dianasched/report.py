@@ -87,8 +87,9 @@ def write_run(result: RunResult, out_dir: str) -> Dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     jobs_path = os.path.join(out_dir, "jobs.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
+    summary = [summary_row(result)]  # may raise; then nothing is written
     _write_csv(jobs_path, JOBS_COLUMNS, jobs_rows(result))
-    _write_csv(summary_path, SUMMARY_COLUMNS, [summary_row(result)])
+    _write_csv(summary_path, SUMMARY_COLUMNS, summary)
     return {"jobs": jobs_path, "summary": summary_path}
 
 

@@ -49,7 +49,7 @@ class SiteDef:
             raise ValueError(f"site {self.site_id}: power must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurstDef:
     time: float
     user: str
@@ -290,6 +290,9 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into one Scenario; errors carry line numbers."""
     kw = {"weights": {}, **{name: [] for name in _RECORDS}}
     link_lines: Dict[frozenset, int] = {}  # links are symmetric
+    # One str per distinct id, shared by every burst and the jobs it
+    # expands into, instead of a copy per burst line.
+    ids: Dict[str, str] = {}
     for lineno, parts in _statements(text):
         key, args = parts[0], parts[1:]
         try:
@@ -339,11 +342,14 @@ def parse_scenario(text: str) -> Scenario:
                                       "procs", "data_site"],
                                lineno, {"data": "0", "kind": "mixed",
                                         "per_site": "false"})
+                user, site, data_site = kv["user"], kv["site"], kv["data_site"]
                 kw["bursts"].append(BurstDef(
-                    time=float(kv["time"]), user=kv["user"], site=kv["site"],
+                    time=float(kv["time"]), user=ids.setdefault(user, user),
+                    site=ids.setdefault(site, site),
                     count=int(kv["count"]), demand=_parse_demand(kv["demand"]),
                     procs=int(kv["procs"]), data=float(kv["data"]),
-                    data_site=kv["data_site"], kind=JobKind(kv["kind"]),
+                    data_site=ids.setdefault(data_site, data_site),
+                    kind=JobKind(kv["kind"]),
                     per_site=_parse_bool(kv["per_site"])))
             elif key == "fault":
                 if len(args) != 3:

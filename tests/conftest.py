@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from dianasched.core import (JobSpec, JobKind, UnreachableSiteError,
-                             UserProfile, available_bandwidth)
+                             UserProfile)
 from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
                               transfer_cost)
 from dianasched.engine import EventKind
@@ -94,7 +94,7 @@ def network_cost(link, b_ref=REFERENCE_BANDWIDTH):
     """Reference bandwidth over available bandwidth; 0 for intra-site."""
     if link is None:
         return 0.0
-    return b_ref / available_bandwidth(link)
+    return b_ref / (link.bandwidth * (1.0 - link.background_load))
 
 
 def reference_total_cost(job, site, link, weights, b_ref=REFERENCE_BANDWIDTH):

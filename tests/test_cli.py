@@ -178,6 +178,27 @@ class TestDiagnostics:
         assert capsys.readouterr().err == (
             f"error: sweep {axis} value {value!r}: {reason}\n")
 
+    # Finite inputs whose run would reach an infinite time or total.
+    @pytest.mark.parametrize("text,reason", [
+        ("site s1 nodes=2 power=1e-320\nuser u quota=1\n"
+         "burst time=0 user=u site=s1 count=1 demand=1e308 procs=1 data_site=s1\n",
+         "event time inf is not finite (now 0.0)"),
+        ("site s1 nodes=2 power=1\nuser u quota=1\n"
+         "burst time=1e308 user=u site=s1 count=1 demand=1e308 procs=1 "
+         "data_site=s1\n",
+         "event time inf is not finite (now 1e+308)"),
+        ("site s1 nodes=2 power=1\nuser u quota=1\n"
+         "burst time=0 user=u site=s1 count=2 demand=1e308 procs=1 data_site=s1\n",
+         "run's mean_exec_time is not finite: inf")])
+    def test_non_finite_run(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = main(["run", "--scenario", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_simulation_error_exits_2(self, scenario_file, tmp_path, capsys,
                                       monkeypatch):
         def broken(scenario, seed):

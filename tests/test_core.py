@@ -3,8 +3,7 @@
 import pytest
 
 from dianasched.core import (NetworkLink, RateEstimator, Topology,
-                             UnreachableSiteError, UserProfile,
-                             available_bandwidth)
+                             UnreachableSiteError, UserProfile)
 from conftest import mk_job
 
 
@@ -35,15 +34,15 @@ class TestJobSpec:
 class TestNetworkLink:
     def test_available_bandwidth_idle_link(self):
         link = NetworkLink("a", "b", 1000.0)
-        assert available_bandwidth(link) == 1000.0
+        assert link.available == 1000.0
 
     def test_available_bandwidth_under_heavy_load(self):
         link = NetworkLink("a", "b", 1000.0, background_load=0.99)
-        assert available_bandwidth(link) == pytest.approx(10.0)
+        assert link.available == pytest.approx(10.0)
 
     def test_available_bandwidth_half_loaded(self):
         link = NetworkLink("a", "b", 10.0, background_load=0.5)
-        assert available_bandwidth(link) == pytest.approx(5.0)
+        assert link.available == pytest.approx(5.0)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):

@@ -276,6 +276,21 @@ class TestTrace:
         assert list(terminal[0]) == list(failed)  # key order too
         assert all(type(e["kind"]) is str for e in trace)
 
+    @pytest.mark.parametrize("scheduler,failed,poll", [
+        # No reachable candidate: the log holds None for the dest, which
+        # the view drops.
+        (SchedulerKind.DIANA, ["j00001"], [[0.0, EventKind.POLL, "s1", 1]]),
+        (SchedulerKind.ROUND_ROBIN, ["j00001", "s2"], [])])
+    def test_events_decode_the_flat_log(self, scheduler, failed, poll):
+        result = run_scenario(self._unlinked(scheduler), seed=0)
+        decoded = [[0.0, EventKind.SUBMIT, "j00001", "s1"], *poll,
+                   [0.0, EventKind.FAILED_UNREACHABLE, *failed],
+                   [1.0, EventKind.SUBMIT, "j00002", "s1"],
+                   [1.0, EventKind.REJECTED_UNSCHEDULABLE, "j00002"]]
+        assert result.events == [tuple(e) for e in decoded]
+        assert len(result.log) == sum(2 + len(EVENT_FIELDS[e[1]])
+                                      for e in decoded)
+
     def test_view_is_rebuilt_from_the_stored_events(self):
         result = run_scenario(self._unlinked(SchedulerKind.DIANA), seed=0)
         first = result.trace
@@ -355,6 +370,11 @@ class TestInvariants:
         sim.now = 5.0
         with pytest.raises(SimulationError, match="in the past"):
             sim._at(time, lambda: None)
+
+    def test_infinite_event_time_is_a_typed_error(self):
+        sim = Simulation(one_site_scenario([]), seed=1)
+        with pytest.raises(SimulationError, match="event time inf is not finite"):
+            sim._at(float("inf"), lambda: None)
 
     def test_allocation_reads_only_the_queue_head(self, monkeypatch):
         # Every engine call of `ordered` asks for the head alone, so queue

@@ -5,18 +5,21 @@ one-line diagnostic through the CLI) or run with its job counts adding
 up, link no site to itself, serialize and parse back to an equal
 scenario (also for values drawn with long mantissas and large
 magnitudes), and give the same CSV bytes when run twice under one seed.
+Those bytes hold only finite numbers; a run that would reach an
+infinite time or total raises SimulationError instead (exit 2).
 Likewise a sweep value must be rejected naming its axis, or give a
 scenario that passes the checks again when it is rebuilt.
 """
 
+import csv
 import dataclasses
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dianasched.engine import Simulation
+from dianasched.engine import Simulation, SimulationError
 from dianasched.report import SWEEP_AXES, apply_axis, write_run
 from dianasched.scenario import (_SETTINGS, ScenarioError, parse_scenario,
                                  serialize_scenario)
@@ -47,7 +50,9 @@ KINDS = ["mixed", "compute_intensive", "data_intensive"]
 
 # Good and bad values of record fields.
 NODES = (["1", "2", "4"], ["0", "-1"])
-POWER = (["0.5", "1", "2"], BAD_NUMBERS + ["0"])
+# A subnormal power or a demand near the float maximum is accepted, but
+# the run reaches an infinite time.
+POWER = (["0.5", "1", "2"], BAD_NUMBERS + ["0", "5e-324"])
 BANDWIDTH = (["10", "1000"], BAD_NUMBERS + ["0"])
 LATENCY = (["0", "0.5"], BAD_NUMBERS)
 LOAD = (["0", "0.5"], BAD_NUMBERS + ["1"])
@@ -108,7 +113,7 @@ def scenario_text(draw):
             f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
             f" user={pick(users)} site={pick(sites)}"
             f" count={pick(['1', '2', '4'], ['0'])}"
-            f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf'])}"
+            f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf', '1e308'])}"
             f" procs={draw(st.integers(1, 3))}"
             f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'], 'data')}"
             f" data_site={pick(sites)} kind={pick(KINDS)}"
@@ -131,22 +136,35 @@ def scenario_text(draw):
 
 
 def _run(text):
-    """Run once under a fixed seed; return the CSV bytes."""
+    """Run once under a fixed seed; return the CSV bytes, or None when
+    the run stops on a non-finite time or total (exit 2 through the CLI).
+    Any other SimulationError fails the test."""
     sim = Simulation(parse_scenario(text), seed=3)
-    result = sim.run()
+    try:
+        result = sim.run()
+        with tempfile.TemporaryDirectory() as out:
+            paths = write_run(result, out)
+            csvs = [Path(paths[k]).read_bytes() for k in ("jobs", "summary")]
+    except SimulationError as exc:
+        assert "is not finite" in str(exc)
+        return None
     s = result.summary()
     assert s["submitted"] == (s["completed"] + s["failed_unreachable"]
                               + s["rejected_unschedulable"] + s["pending"])
     for site in sim.sites.values():
         assert 0 <= site.idle_nodes <= site.node_count
     assert_busy_node_seconds_conserved(sim, result)
-    with tempfile.TemporaryDirectory() as out:
-        paths = write_run(result, out)
-        return [Path(paths[k]).read_bytes() for k in ("jobs", "summary")]
+    for data in csvs:
+        cells = {c for row in csv.reader(data.decode().splitlines()) for c in row}
+        assert not cells & {"inf", "-inf", "nan"}
+    return csvs
 
 
 @settings(max_examples=50, deadline=None)
 @given(text=scenario_text())
+@example(text="site s1 nodes=2 power=5e-324\nuser u1 quota=1\n"
+              "burst time=0 user=u1 site=s1 count=1 demand=1e308 procs=1 "
+              "data_site=s1\n")
 def test_scenario_text_is_rejected_or_runs_consistently(text):
     try:
         scenario = parse_scenario(text)

@@ -22,9 +22,9 @@ import pytest
 from dianasched.baselines import QueueDiscipline
 from dianasched.cli import _load_scenario
 from dianasched.core import JobSpec
-from dianasched.engine import JobRecord, Simulation, run_scenario
+from dianasched.engine import EVENT_FIELDS, JobRecord, Simulation, run_scenario
 from dianasched.report import apply_axis, write_run
-from dianasched.scenario import parse_scenario
+from dianasched.scenario import BurstDef, parse_scenario
 from conftest import assert_busy_node_seconds_conserved
 
 SEED = 42
@@ -193,16 +193,49 @@ def test_busy_node_seconds_conserved(name):
 
 
 def test_run_state_is_compact():
-    """Per-job records have no instance dict; stored events are tuples."""
+    """Per-job records have no instance dict; the events sit in one flat
+    list, `t, kind, *values` each, with no tuple, list or dict per event."""
     sim = Simulation(_case("P1:diana"), SEED)
     result = sim.run()
     rec = next(iter(result.jobs.values()))
     assert isinstance(rec, JobRecord) and isinstance(rec.spec, JobSpec)
     assert not hasattr(rec, "__dict__")
     assert not hasattr(rec.spec, "__dict__")
-    assert result.events is sim.events and result.events
-    assert all(type(e) is tuple for e in result.events)
-    assert not any(isinstance(v, dict) for e in result.events for v in e)
+    assert result.log is sim.log and type(result.log) is list and result.log
+    assert not any(isinstance(v, (tuple, list, dict)) for v in result.log)
+    assert len(result.log) == sum(2 + len(EVENT_FIELDS[kind])
+                                  for _, kind, *_ in result.events)
+
+
+def test_bursts_are_slotted():
+    burst = _case("P1:diana").bursts[0]
+    assert isinstance(burst, BurstDef)
+    assert not hasattr(burst, "__dict__")
+
+
+def test_expanded_jobs_share_one_str_per_id():
+    """Jobs expanded from many burst lines hold one object per distinct
+    user, data site and submit site.  The scenario has baseline_sjf's
+    shape (bench/workloads.py) at 20 rounds instead of 300."""
+    lines = ["scheduler flop_greedy", "queue sjf",
+             *(f"site s{i} nodes=40 power=1.0" for i in range(1, 5)),
+             "default_link bandwidth=1000", "user u1 quota=4", "user u2 quota=4"]
+    for i in range(20):
+        for procs, demand in [(8, 200), (17, 1000), (26, 4444), (35, 5556)]:
+            lines.append(f"burst time={20 * i} user=u1 site=s1 count=1 "
+                         f"demand={demand} procs={procs} data_site=s1 "
+                         f"kind=compute_intensive")
+        lines.append(f"burst time={20 * i} user=u2 site=s{1 + i % 4} count=8 "
+                     f"demand=40 procs=1 data_site=s{1 + i % 4} "
+                     f"kind=compute_intensive")
+    sim = Simulation(parse_scenario("\n".join(lines) + "\n"), SEED)
+    records = list(sim.jobs.values())
+    for ids in ([r.spec.user_id for r in records],
+                [r.spec.data_site for r in records],
+                [r.submit_site for r in records]):
+        first = {}
+        assert all(first.setdefault(i, i) is i for i in ids)
+        assert len(first) > 1
 
 
 def test_run_keeps_jobs_only_in_their_records():
