@@ -1,9 +1,12 @@
 """Deterministic discrete-event simulator.
 
-Single-threaded event loop over (time, seq)-ordered events; all
-randomness comes from one seeded generator used only during workload
-expansion, so identical (scenario, seed) pairs produce bit-identical
-results.
+Single-threaded event loop over (time, seq)-ordered events.  Job
+submissions, known before the run, stream past the event heap in
+(submit time, workload) order, and at equal times each one runs before
+any other event; only faults, ticks, arrivals and completions go on the
+heap.  All randomness comes from one seeded generator used only during
+workload expansion, so identical (scenario, seed) pairs produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -327,22 +330,40 @@ class Simulation:
         if self._ran:
             raise RuntimeError("Simulation instances are single-use")
         self._ran = True
-        for rec in self.jobs.values():
-            self._at(rec.spec.submit_time, self._on_submit, rec)
         for fault in self.scenario.faults:
             self._at(fault.time, self._on_fault, fault)
         if self.jobs:
             self._at(self.scenario.rate_interval, self._on_rate_tick)
             self._at(self.scenario.echo_interval, self._on_echo_tick)
+        # Submissions stream past the heap in (submit time, workload)
+        # order; BurstDef has checked that their times are finite and
+        # >= 0.  One is taken whenever its time is not after the heap
+        # top's, so at equal times it runs before every other event, as
+        # if it had been scheduled before them.
+        submits = sorted(self.jobs.values(),
+                         key=lambda rec: rec.spec.submit_time)
+        on_submit = self._on_submit
+        heap = self._heap
+        pop = heapq.heappop
         cap = self.scenario.duration_cap
-        while self._heap:
-            time, _, fn, args = heapq.heappop(self._heap)
+        i, end = 0, len(submits)
+        while True:
+            if i < end and (
+                    not heap or submits[i].spec.submit_time <= heap[0][0]):
+                rec = submits[i]
+                i += 1
+                time, fn, args = rec.spec.submit_time, on_submit, (rec,)
+            elif heap:
+                time, _, fn, args = pop(heap)
+            else:
+                break
             if cap > 0 and time > cap:
                 break
             if not time >= self.now - 1e-12:
                 raise SimulationError(
                     f"event at {time!r} popped after now {self.now!r}")
-            self.now = max(self.now, time)
+            if time > self.now:
+                self.now = time
             fn(*args)
         util = {}
         horizon = self.now
@@ -523,17 +544,21 @@ class Simulation:
 
     def _on_rate_tick(self) -> None:
         window = self.scenario.rate_interval
-        for sid in self.site_order:
-            site = self.sites[sid]
-            if site.crashed:
+        # Only DIANA reads the estimators and windows: its polls, costs
+        # and congestion check.  The tick itself still runs under every
+        # scheduler, since its idle count ends the run.
+        if self.scenario.scheduler is SchedulerKind.DIANA:
+            for sid in self.site_order:
+                site = self.sites[sid]
+                if site.crashed:
+                    site.arrivals_window = 0
+                    site.completions_window = 0
+                    continue
+                site.arr_est.update(site.arrivals_window, window)
+                site.svc_est.update(site.completions_window, window)
                 site.arrivals_window = 0
                 site.completions_window = 0
-                continue
-            site.arr_est.update(site.arrivals_window, window)
-            site.svc_est.update(site.completions_window, window)
-            site.arrivals_window = 0
-            site.completions_window = 0
-            self._check_congestion(site)
+                self._check_congestion(site)
         self._idle_ticks += 1
         if self.pending > 0 and self._idle_ticks < MAX_IDLE_TICKS:
             self._at(self.now + window, self._on_rate_tick)

@@ -1,12 +1,13 @@
 """Shared fixtures and small builders for the test suite."""
 
+import heapq
 from dataclasses import dataclass
 
 from dianasched.core import (JobSpec, JobKind, UnreachableSiteError,
                              UserProfile)
 from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
                               transfer_cost)
-from dianasched.engine import EventKind
+from dianasched.engine import EventKind, RunResult
 from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
 
 
@@ -170,3 +171,35 @@ def reference_migrate_batch(batch, local, local_jobs_ahead, peers, now,
     if jobs_key < local_key and cost < local_cost:
         return peer.site_id
     return None
+
+
+# -- reference event loop ------------------------------------------------
+# `Simulation.run` streams submissions past its event heap.  This is the
+# loop written plainly: every submission is pushed through `_at` before
+# the first event, so each has a lower sequence number than any other
+# event, and the heap alone orders them.
+
+def reference_run(sim):
+    """Run `sim` with every submission on the heap; its RunResult."""
+    sim._ran = True
+    for rec in sim.jobs.values():
+        sim._at(rec.spec.submit_time, sim._on_submit, rec)
+    for fault in sim.scenario.faults:
+        sim._at(fault.time, sim._on_fault, fault)
+    if sim.jobs:
+        sim._at(sim.scenario.rate_interval, sim._on_rate_tick)
+        sim._at(sim.scenario.echo_interval, sim._on_echo_tick)
+    cap = sim.scenario.duration_cap
+    while sim._heap:
+        time, _, fn, args = heapq.heappop(sim._heap)
+        if cap > 0 and time > cap:
+            break
+        sim.now = max(sim.now, time)
+        fn(*args)
+    util = {}
+    for sid, site in sim.sites.items():
+        cap_seconds = site.node_count * sim.now
+        util[sid] = site.busy_node_seconds / cap_seconds if cap_seconds else 0.0
+    return RunResult(scenario=sim.scenario, seed=sim.seed, jobs=sim.jobs,
+                     log=sim.log, messages=sim.messages, utilization=util,
+                     workload_hash=sim.workload_digest)

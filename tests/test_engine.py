@@ -308,6 +308,60 @@ class TestTrace:
         assert set(EVENT_FIELDS) == set(EventKind)
 
 
+class TestSubmissionStream:
+    """Submissions stream past the event heap in submit-time order; at
+    equal times each runs before every other event."""
+
+    def test_submission_beside_a_crash_is_placed_not_parked(self):
+        s = one_site_scenario([burst(time=1.0)],
+                              faults=[FaultDef("crash", "s1", 1.0)])
+        sim = Simulation(s, seed=0)
+        result = sim.run()
+        kinds = [kind for _, kind, *_ in result.events
+                 if kind is not EventKind.POLL]
+        assert kinds[:3] == [EventKind.SUBMIT, EventKind.PLACE, EventKind.CRASH]
+        site = sim.sites["s1"]
+        assert site.parked == []
+        assert list(site.queue.jobs) == ["j00001"]  # arrived after the crash
+
+    def test_submission_runs_before_a_completion_at_its_time(self):
+        s = one_site_scenario([burst(demand=3.0), burst(time=3.0)])
+        result = run_scenario(s, seed=0)
+        at_three = [(kind, values[0]) for t, kind, *values in result.events
+                    if t == 3.0 and kind in (EventKind.SUBMIT,
+                                             EventKind.COMPLETED)]
+        assert at_three == [(EventKind.SUBMIT, "j00002"),
+                            (EventKind.COMPLETED, "j00001")]
+
+    def test_cap_between_bursts_leaves_later_jobs_pending(self):
+        s = one_site_scenario([burst(count=2), burst(time=50.0, count=2)],
+                              duration_cap=20.0)
+        result = run_scenario(s, seed=0)
+        assert [r.status for r in result.records()] == [
+            JobStatus.COMPLETED, JobStatus.COMPLETED,
+            JobStatus.PENDING, JobStatus.PENDING]
+        assert [values[0] for _, kind, *values in result.events
+                if kind is EventKind.SUBMIT] == ["j00001", "j00002"]
+
+
+class TestRateEstimators:
+    @pytest.mark.parametrize("scheduler,updated", [
+        (SchedulerKind.ROUND_ROBIN, False), (SchedulerKind.FLOP_GREEDY, False),
+        (SchedulerKind.DIANA, True)])
+    def test_only_diana_updates_the_estimators(self, scheduler, updated):
+        # Only DIANA's polls, costs and congestion check read the rates,
+        # so the rate tick updates them under DIANA alone.  The tick
+        # still runs under every scheduler: its idle count ends the run,
+        # and with it sets mean_utilization, which the goldens pin.
+        s = dataclasses.replace(parse_scenario("preset P1\n"),
+                                scheduler=scheduler, queue=QueueDiscipline.FCFS)
+        sim = Simulation(s, seed=42)
+        assert sim.run().count(JobStatus.COMPLETED) == 1000
+        rates = [value for site in sim.sites.values()
+                 for value in (site.arr_est.value, site.svc_est.value)]
+        assert any(rates) is updated
+
+
 class TestAllocationIsFinal:
     def test_no_migration_after_allocation(self):
         # Congested first site with a second site joining later; whatever
@@ -441,6 +495,7 @@ class TestSiteRecord:
 
         schedule_event = sim._at
         sim._at = lambda time, fn, *args: schedule_event(time, checked(fn), *args)
+        sim._on_submit = checked(sim._on_submit)  # submissions skip _at
         result = sim.run()
         assert any(r.migrations for r in result.records())
         assert max(backlogs) > 10

@@ -6,13 +6,16 @@ up, link no site to itself, serialize and parse back to an equal
 scenario (also for values drawn with long mantissas and large
 magnitudes), and give the same CSV bytes when run twice under one seed.
 Those bytes hold only finite numbers; a run that would reach an
-infinite time or total raises SimulationError instead (exit 2).
+infinite time or total raises SimulationError instead (exit 2).  A run
+also gives the same jobs, summary and event log as the reference loop
+that puts every submission on the event heap.
 Likewise a sweep value must be rejected naming its axis, or give a
 scenario that passes the checks again when it is rebuilt.
 """
 
 import csv
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,10 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dianasched.engine import Simulation, SimulationError
-from dianasched.report import SWEEP_AXES, apply_axis, write_run
+from dianasched.report import SWEEP_AXES, apply_axis, jobs_rows, write_run
 from dianasched.scenario import (_SETTINGS, ScenarioError, parse_scenario,
                                  serialize_scenario)
-from conftest import assert_busy_node_seconds_conserved
+from conftest import assert_busy_node_seconds_conserved, reference_run
 
 SITE_IDS = ["s1", "s2", "s3"]
 USER_IDS = ["u1", "u2"]
@@ -50,9 +53,7 @@ KINDS = ["mixed", "compute_intensive", "data_intensive"]
 
 # Good and bad values of record fields.
 NODES = (["1", "2", "4"], ["0", "-1"])
-# A subnormal power or a demand near the float maximum is accepted, but
-# the run reaches an infinite time.
-POWER = (["0.5", "1", "2"], BAD_NUMBERS + ["0", "5e-324"])
+POWER = (["0.5", "1", "2"], BAD_NUMBERS + ["0"])
 BANDWIDTH = (["10", "1000"], BAD_NUMBERS + ["0"])
 LATENCY = (["0", "0.5"], BAD_NUMBERS)
 LOAD = (["0", "0.5"], BAD_NUMBERS + ["1"])
@@ -66,17 +67,42 @@ LONG = {"power": (0.5, 1e15), "bandwidth": (10.0, 1e300),
         "latency": (0.0, 10.0), "quota": (1e-3, 1e300),
         "weight": (0.0, 1e6), "data": (0.0, 1e18)}
 
+# Values the parser accepts but a run cannot use: a subnormal power or a
+# demand near the float maximum makes a job's duration, or a summary
+# total, infinite, and the run must stop with SimulationError.
+UNUSABLE = {"power": "5e-324", "demand": "1e308"}
+
+# Records the parser must reject as a whole.
+RECORD_FAULTS = ("twin link", "self link", "stray site_count", "late preset")
+
 
 @st.composite
 def scenario_text(draw):
-    # Half the examples draw only good values, so about half of them run;
-    # the other half mix in bad values, and most of those are rejected.
-    faulty = draw(st.booleans())
+    # Half the examples draw only good values, so about half of them run.
+    # The other half hold exactly one fault: a bad value in one drawn
+    # field, an unusable value in one drawn field, or one bad record.
+    # An unusable value thus reaches a run instead of hiding behind a
+    # second fault that the parser rejects.
+    fault = None
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["value", "unusable", "record"]))
+        if fault == "record":
+            fault = draw(st.sampled_from(RECORD_FAULTS))
+    slots = []  # (good value, values to put in instead) of each field drawn
 
-    def pick(good, bad=(), long=None):
-        if long is not None and draw(st.integers(0, 3)) == 0:
-            return repr(draw(st.floats(*LONG[long])))
-        return draw(st.sampled_from(list(good) + (list(bad) if faulty else [])))
+    def pick(good, bad=(), field=None):
+        if field in LONG and draw(st.integers(0, 3)) == 0:
+            value = repr(draw(st.floats(*LONG[field])))
+        else:
+            value = draw(st.sampled_from(good))
+        if fault == "value" and bad:
+            slots.append((value, tuple(bad)))
+        elif fault == "unusable" and field in UNUSABLE:
+            slots.append((value, (UNUSABLE[field],)))
+        else:
+            return value
+        # A marker; one slot gets a faulty value when the text is complete.
+        return f"\x00{len(slots) - 1}\x00"
 
     def link_fields():
         return (f"bandwidth={pick(*BANDWIDTH, 'bandwidth')}"
@@ -86,21 +112,23 @@ def scenario_text(draw):
     users = USER_IDS[:draw(st.integers(1, 2))]
     lines = [f"site {s} nodes={pick(*NODES)} power={pick(*POWER, 'power')}"
              for s in sites]
-    template = draw(st.booleans())
+    template = fault != "stray site_count" and draw(st.booleans())
     if template:
         lines.append(f"site_template prefix=t nodes={pick(*NODES)}"
                      f" power={pick(*POWER, 'power')}")
-    if template or (faulty and draw(st.booleans())):
         lines.append(f"site_count {pick(['0', '1', '2'], ['-1'])}")
+    if fault == "stray site_count":
+        # A count of template sites without a template is rejected.
+        lines.append(f"site_count {draw(st.sampled_from(['1', '2']))}")
     if draw(st.integers(0, 4)):  # without a default link, most pairs are unreachable
         lines.append(f"default_link {link_fields()}")
-    if draw(st.booleans()):
+    if fault == "twin link" or draw(st.booleans()):
         lines.append(f"link s1 s2 {link_fields()}")
-        if faulty and draw(st.booleans()):
-            # A second link for the pair, in either order, is rejected.
-            a, b = draw(st.permutations(["s1", "s2"]))
-            lines.append(f"link {a} {b} {link_fields()}")
-    if faulty and draw(st.integers(0, 3)) == 0:
+    if fault == "twin link":
+        # A second link for the pair, in either order, is rejected.
+        a, b = draw(st.permutations(["s1", "s2"]))
+        lines.append(f"link {a} {b} {link_fields()}")
+    if fault == "self link":
         # A site links to itself only by a typo; it is rejected.
         site = draw(st.sampled_from(sites))
         lines.append(f"link {site} {site} {link_fields()}")
@@ -113,14 +141,15 @@ def scenario_text(draw):
             f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
             f" user={pick(users)} site={pick(sites)}"
             f" count={pick(['1', '2', '4'], ['0'])}"
-            f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf', '1e308'])}"
+            f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf'], 'demand')}"
             f" procs={draw(st.integers(1, 3))}"
             f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'], 'data')}"
             f" data_site={pick(sites)} kind={pick(KINDS)}"
             f" per_site={pick(['false', 'true'])}")
     for _ in range(draw(st.integers(0, 2))):
+        # A fault at 7 shares its time with a burst's submissions.
         lines.append(f"fault {pick(['crash', 'register', 'deregister'], ['explode'])}"
-                     f" {pick(sites)} {pick(['1', '5', '20'], BAD_NUMBERS)}")
+                     f" {pick(sites)} {pick(['1', '5', '7', '20'], BAD_NUMBERS)}")
     for _ in range(draw(st.integers(0, 4))):
         key = draw(st.sampled_from(sorted(SETTINGS)))
         good, bad = SETTINGS[key]
@@ -128,11 +157,21 @@ def scenario_text(draw):
             bad = bad + BAD_NUMBERS
         lines.append(f"{key} {pick(good, bad)}")
     lines = draw(st.permutations(lines))
-    if draw(st.integers(0, 7)) == 3:
+    if fault == "late preset":
         # A preset anywhere but first would discard the lines above it.
         lines.insert(draw(st.integers(1, len(lines))),
                      f"preset {pick(['P1', 'P2', 'P3', 'P4'])}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if slots:
+        # Each list of faulty values is drawn from as often as any other,
+        # however many fields take it.
+        kind = draw(st.sampled_from(sorted({bad for _, bad in slots})))
+        at = draw(st.sampled_from([i for i, (_, bad) in enumerate(slots)
+                                   if bad == kind]))
+        values = [good for good, _ in slots]
+        values[at] = draw(st.sampled_from(kind))
+        text = re.sub(r"\x00(\d+)\x00", lambda m: values[int(m[1])], text)
+    return text
 
 
 def _run(text):
@@ -173,6 +212,30 @@ def test_scenario_text_is_rejected_or_runs_consistently(text):
     assert all(l.from_site != l.to_site for l in scenario.links)
     assert parse_scenario(serialize_scenario(scenario)) == scenario
     assert _run(text) == _run(text)
+
+
+
+def _outcome(run):
+    """The jobs.csv rows, summary and event log of a run, or the text of
+    the SimulationError that stopped it."""
+    try:
+        result = run()
+        return list(jobs_rows(result)), result.summary(), result.log
+    except SimulationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=scenario_text())
+def test_streamed_submissions_match_the_heap_loop(text):
+    # run() streams submissions past its heap; the reference pushes them
+    # all onto it first.  Both must give the same run.
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert _outcome(Simulation(scenario, seed=3).run) == \
+        _outcome(lambda: reference_run(Simulation(scenario, seed=3)))
 
 
 SWEEP_BASE = """
