@@ -2,12 +2,13 @@
 
 The format is line-oriented: one `key value` or record line per
 statement, `#` comments, blank lines ignored.  See docs/scenario-format.md
-for the full grammar.  Unknown keys are rejected, and an error in one
-line's values names that line and field; checks that relate lines to
-each other (undefined or duplicate ids) are file-level.  Each record
-type checks its own values when it is constructed, so the parser only
-converts text and adds the line number; Scenario itself runs the
-file-level checks when it is constructed, and is frozen afterwards.
+for the full grammar.  Unknown keys are rejected.  Each record type
+checks its own values when it is constructed, and Scenario checks the
+rules that relate records and settings to each other when it is
+constructed, so the parser only converts text.  Every error names its
+line: the parser prefixes the line of the statement it is reading, or
+the lines of the records and settings a Scenario error is about.  Only
+a file that declares no site gets an error without a line.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ DemandSpec = Union[float, Tuple[float, float]]  # point value or uniform range
 
 
 class ScenarioError(ValueError):
-    pass
+    """`about` holds the records, or Scenario fields by name, an error is
+    about: the offending one, then a duplicate's first.  The parser names their lines."""
+
+    def __init__(self, message: str, *about):
+        super().__init__(message)
+        self.about = about
 
 
 def _check_non_negative(name: str, value: float) -> None:
@@ -106,7 +112,8 @@ class Scenario:
     docs/scenario-format.md's table.  The instance is frozen, its
     record lists are tuples and its weights a read-only mapping, so a
     Scenario that exists is valid and stays so; vary one with
-    dataclasses.replace, which checks the result again.
+    dataclasses.replace, which checks the result again.  Its errors name
+    no line; parse_scenario names the lines of what they are about.
     """
 
     scheduler: SchedulerKind = SchedulerKind.DIANA
@@ -155,38 +162,45 @@ class Scenario:
         for key in _SETTINGS:
             _check_setting(key, getattr(self, key))
         if self.site_count and self.site_template is None:
-            raise ScenarioError("site_count needs a site_template")
-        ids = [s.site_id for s in self.resolved_sites()]
-        if not ids:
+            raise ScenarioError("site_count needs a site_template", "site_count")
+        if not (sites := self.resolved_sites()):
             raise ScenarioError("scenario defines no sites")
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("duplicate site ids")
+        known_sites: Dict[str, object] = {}  # id -> the record declaring it
+        for i, site in enumerate(sites):
+            record = site if i < len(self.sites) else "site_template"
+            if (sid := site.site_id) in known_sites:
+                raise ScenarioError(f"duplicate site id {sid!r}", record, known_sites[sid])
+            known_sites[sid] = record
         if (self.queue is QueueDiscipline.PRIORITY_MULTIQUEUE
                 and self.scheduler is not SchedulerKind.DIANA):
-            raise ScenarioError("priority queue discipline requires the diana scheduler")
-        known_sites = set(ids)
+            raise ScenarioError("priority queue discipline requires the diana scheduler",
+                                "scheduler")
+        pairs: Dict[frozenset, NetworkLink] = {}  # links are symmetric
         for link in self.links:
-            for end in (link.from_site, link.to_site):
+            a, b = link.from_site, link.to_site
+            for end in (a, b):
                 if end not in known_sites:
-                    raise ScenarioError(f"link references undefined site {end!r}")
-            if link.from_site == link.to_site:
-                raise ScenarioError(f"link from {link.from_site} to itself")
-        pairs = {frozenset((l.from_site, l.to_site)) for l in self.links}
-        if len(pairs) != len(self.links):  # links are symmetric
-            raise ScenarioError("duplicate links between one pair of sites")
-        users = {u.user_id for u in self.users}
-        if len(users) != len(self.users):
-            raise ScenarioError("duplicate user ids")
+                    raise ScenarioError(f"link references undefined site {end!r}", link)
+            if a == b:
+                raise ScenarioError(f"link from {a} to itself", link)
+            if (pair := frozenset((a, b))) in pairs:
+                raise ScenarioError(f"duplicate link between {a} and {b}", link, pairs[pair])
+            pairs[pair] = link
+        users: Dict[str, UserProfile] = {}
+        for user in self.users:
+            if (uid := user.user_id) in users:
+                raise ScenarioError(f"duplicate user id {uid!r}", user, users[uid])
+            users[uid] = user
         for b in self.bursts:
             if b.user not in users:
-                raise ScenarioError(f"burst references undefined user {b.user!r}")
+                raise ScenarioError(f"burst references undefined user {b.user!r}", b)
             if b.site not in known_sites:
-                raise ScenarioError(f"burst references undefined site {b.site!r}")
+                raise ScenarioError(f"burst references undefined site {b.site!r}", b)
             if b.data_site not in known_sites:
-                raise ScenarioError(f"burst data_site {b.data_site!r} is undefined")
+                raise ScenarioError(f"burst data_site {b.data_site!r} is undefined", b)
         for f in self.faults:
             if f.site not in known_sites:
-                raise ScenarioError(f"fault references undefined site {f.site!r}")
+                raise ScenarioError(f"fault references undefined site {f.site!r}", f)
 
 
 def _parse_bool(text: str) -> bool:
@@ -214,19 +228,17 @@ _SETTING_RANGES = {
 }
 
 
-def _check_setting(key: str, value, where: str = "") -> None:
-    """Raise ScenarioError, prefixed by `where`, unless `value` has its
-    setting's type (an int passes as a float; a bool is no number) and
-    is in its range."""
+def _check_setting(key: str, value) -> None:
+    """Raise ScenarioError unless `value` has its setting's type (an int
+    passes as a float; a bool is no number) and is in its range."""
     kind = _SETTING_TYPES[key]
     if isinstance(value, bool) != (kind is bool) or not isinstance(
             value, (int, float) if kind is float else kind):
-        raise ScenarioError(f"{where}{key} must be of type {kind.__name__}, "
-                            f"got {value!r}")
+        raise ScenarioError(f"{key} must be of type {kind.__name__}, got {value!r}", key)
     if key in _SETTING_RANGES:
         test, rule = _SETTING_RANGES[key]
         if not (math.isfinite(value) and test(value)):
-            raise ScenarioError(f"{where}{key} must be {rule}, got {value!r}")
+            raise ScenarioError(f"{key} must be {rule}, got {value!r}", key)
 
 
 # Each scalar setting, by name, with its default's type, which its value
@@ -238,19 +250,21 @@ _SETTINGS = {key: _parse_bool if kind is bool else kind
              for key, kind in _SETTING_TYPES.items()}
 
 
-def _parse_kv(parts: List[str], required: List[str], lineno: int,
-              optional: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    got = dict(optional or {})
+def _parse_kv(parts: List[str], required: Tuple[str, ...],
+              optional: Tuple[str, ...] = ()) -> Dict[str, str]:
+    got: Dict[str, str] = {}
     for part in parts:
         k, eq, v = part.partition("=")
         if not eq:
-            raise ScenarioError(f"line {lineno}: expected key=value, got {part!r}")
-        if k not in required and k not in got:  # got holds only known keys
-            raise ScenarioError(f"line {lineno}: unknown field {k!r}")
+            raise ScenarioError(f"expected key=value, got {part!r}")
+        if k not in required and k not in optional:
+            raise ScenarioError(f"unknown field {k!r}")
+        if k in got:
+            raise ScenarioError(f"field {k!r} given twice")
         got[k] = v
     missing = [k for k in required if k not in got]
     if missing:
-        raise ScenarioError(f"line {lineno}: missing field(s) {', '.join(missing)}")
+        raise ScenarioError(f"missing field(s) {', '.join(missing)}")
     return got
 
 
@@ -289,79 +303,80 @@ def _statements(text: str):
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into one Scenario; errors carry line numbers."""
     kw = {"weights": {}, **{name: [] for name in _RECORDS}}
-    link_lines: Dict[frozenset, int] = {}  # links are symmetric
+    lines: Dict[object, int] = {}  # a setting's line by its name, a record's by id()
     # One str per distinct id, shared by every burst and the jobs it
     # expands into, instead of a copy per burst line.
     ids: Dict[str, str] = {}
+    def add(name: str, record) -> None:
+        kw[name].append(record)
+        lines[id(record)] = lineno
+
     for lineno, parts in _statements(text):
         key, args = parts[0], parts[1:]
         try:
             if key in _SETTINGS:
                 if len(args) != 1:
-                    raise ScenarioError(f"line {lineno}: {key} takes one value")
+                    raise ScenarioError(f"{key} takes one value")
                 kw[key] = _SETTINGS[key](args[0])
-                _check_setting(key, kw[key], f"line {lineno}: ")
+                _check_setting(key, kw[key])
             elif key == "weights":
                 if len(args) != 4:
-                    raise ScenarioError(f"line {lineno}: weights takes kind wc wd wn")
+                    raise ScenarioError("weights takes kind wc wd wn")
                 kind = JobKind(args[0])
                 kw["weights"][kind] = CostWeights(*(float(a) for a in args[1:]))
             elif key == "site":
-                kv = _parse_kv(args[1:], ["nodes", "power"], lineno)
-                kw["sites"].append(SiteDef(args[0], int(kv["nodes"]), float(kv["power"])))
+                kv = _parse_kv(args[1:], ("nodes", "power"))
+                add("sites", SiteDef(args[0], int(kv["nodes"]), float(kv["power"])))
             elif key == "site_template":
-                kv = _parse_kv(args, ["nodes", "power"], lineno, {"prefix": "site"})
-                kw["site_template"] = SiteDef(kv["prefix"], int(kv["nodes"]),
+                kv = _parse_kv(args, ("nodes", "power"), ("prefix",))
+                kw["site_template"] = SiteDef(kv.get("prefix", "site"), int(kv["nodes"]),
                                               float(kv["power"]))
             elif key == "default_link":
-                kv = _parse_kv(args, ["bandwidth"], lineno, {"latency": "0", "load": "0"})
+                kv = _parse_kv(args, ("bandwidth",), ("latency", "load"))
                 kw["default_link"] = NetworkLink(
-                    "*", "*", float(kv["bandwidth"]), float(kv["latency"]),
-                    float(kv["load"]))
+                    "*", "*", float(kv["bandwidth"]), float(kv.get("latency", "0")),
+                    float(kv.get("load", "0")))
             elif key == "link":
                 if len(args) < 3:
-                    raise ScenarioError(f"line {lineno}: link takes two sites plus fields")
-                if args[0] == args[1]:
-                    raise ScenarioError(
-                        f"line {lineno}: link from {args[0]} to itself")
-                pair = frozenset(args[:2])
-                if pair in link_lines:
-                    raise ScenarioError(
-                        f"line {lineno}: duplicate link between {args[0]} and "
-                        f"{args[1]} (first on line {link_lines[pair]})")
-                link_lines[pair] = lineno
-                kv = _parse_kv(args[2:], ["bandwidth"], lineno, {"latency": "0", "load": "0"})
-                kw["links"].append(NetworkLink(
-                    args[0], args[1], float(kv["bandwidth"]), float(kv["latency"]),
-                    float(kv["load"])))
+                    raise ScenarioError("link takes two sites plus fields")
+                kv = _parse_kv(args[2:], ("bandwidth",), ("latency", "load"))
+                add("links", NetworkLink(
+                    args[0], args[1], float(kv["bandwidth"]),
+                    float(kv.get("latency", "0")), float(kv.get("load", "0"))))
             elif key == "user":
-                kv = _parse_kv(args[1:], ["quota"], lineno)
-                kw["users"].append(UserProfile(args[0], float(kv["quota"])))
+                kv = _parse_kv(args[1:], ("quota",))
+                add("users", UserProfile(args[0], float(kv["quota"])))
             elif key == "burst":
-                kv = _parse_kv(args, ["time", "user", "site", "count", "demand",
-                                      "procs", "data_site"],
-                               lineno, {"data": "0", "kind": "mixed",
-                                        "per_site": "false"})
+                kv = _parse_kv(args, ("time", "user", "site", "count", "demand",
+                                      "procs", "data_site"), ("data", "kind", "per_site"))
                 user, site, data_site = kv["user"], kv["site"], kv["data_site"]
-                kw["bursts"].append(BurstDef(
+                add("bursts", BurstDef(
                     time=float(kv["time"]), user=ids.setdefault(user, user),
                     site=ids.setdefault(site, site),
                     count=int(kv["count"]), demand=_parse_demand(kv["demand"]),
-                    procs=int(kv["procs"]), data=float(kv["data"]),
+                    procs=int(kv["procs"]), data=float(kv.get("data", "0")),
                     data_site=ids.setdefault(data_site, data_site),
-                    kind=JobKind(kv["kind"]),
-                    per_site=_parse_bool(kv["per_site"])))
+                    kind=JobKind(kv.get("kind", "mixed")),
+                    per_site=_parse_bool(kv.get("per_site", "false"))))
             elif key == "fault":
                 if len(args) != 3:
-                    raise ScenarioError(f"line {lineno}: fault takes action site time")
-                kw["faults"].append(FaultDef(args[0], args[1], float(args[2])))
+                    raise ScenarioError("fault takes action site time")
+                add("faults", FaultDef(args[0], args[1], float(args[2])))
             else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        except ScenarioError:
+                raise ScenarioError(f"unknown key {key!r}")
+        except (ValueError, KeyError) as exc:  # ScenarioError included
+            what = "" if isinstance(exc, ScenarioError) else f"invalid {key} entry: "
+            raise ScenarioError(f"line {lineno}: {what}{exc}") from exc
+        lines[key] = lineno  # a setting's, or the site_template's
+    try:
+        return Scenario(**kw)
+    except ScenarioError as exc:
+        if not exc.about:  # a file without sites has no line to name
             raise
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError(f"line {lineno}: invalid {key} entry: {exc}") from exc
-    return Scenario(**kw)
+        # The last line is the offending one; a duplicate names its first.
+        *first, at = sorted(lines[a if isinstance(a, str) else id(a)] for a in exc.about)
+        raise ScenarioError(f"line {at}: {exc}" + "".join(
+            f" (first on line {n})" for n in first)) from exc
 
 
 def _fmt(x) -> str:

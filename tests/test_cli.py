@@ -13,6 +13,7 @@ default_link bandwidth=1000
 user u quota=1
 burst time=0 user=u site=s1 count=6 demand=2:9 procs=1 data_site=s1
 """
+BURST = "burst time=0 user=u site=s1 count=1 demand=2 procs=1 data_site=s1"
 
 
 @pytest.fixture
@@ -58,10 +59,10 @@ class TestRun:
 
 
 class TestDiagnostics:
-    """Bad numbers end in exit 2 and one line naming the line, not a traceback.
+    """Bad input ends in exit 2 and one line naming the line, not a traceback.
 
     Covers burst and fault numbers, site, link, user and weight values,
-    and scalar settings.
+    scalar settings, and the rules that relate lines to each other.
     """
 
     @pytest.mark.parametrize("line,field", [
@@ -118,40 +119,50 @@ class TestDiagnostics:
         assert err.count("\n") == 1
         assert err.startswith("error: line 6: ") and field in err
 
-    @pytest.mark.parametrize("line", ["link s1 s2 bandwidth=1000",
-                                      "link s2 s1 bandwidth=1000"])
-    def test_duplicate_link(self, tmp_path, capsys, line):
+    # Each rule that relates lines to each other, and each deleted
+    # setting, ends in exactly this line on stderr.
+    @pytest.mark.parametrize("lines,err", [
+        ("site s1 nodes=1 power=1",
+         "line 6: duplicate site id 's1' (first on line 1)"),
+        ("site_template prefix=s nodes=1 power=1\nsite_count 2\n"
+         "site s002 nodes=1 power=1",
+         "line 8: duplicate site id 's002' (first on line 6)"),
+        ("site_count 2", "line 6: site_count needs a site_template"),
+        ("scheduler round_robin",
+         "line 6: priority queue discipline requires the diana scheduler"),
+        ("link s1 s2 bandwidth=10\nlink s1 s2 bandwidth=1000",
+         "line 7: duplicate link between s1 and s2 (first on line 6)"),
+        ("link s1 s2 bandwidth=10\nlink s2 s1 bandwidth=1000",
+         "line 7: duplicate link between s2 and s1 (first on line 6)"),
+        ("link s1 s1 bandwidth=1", "line 6: link from s1 to itself"),
+        ("link s1 ghost bandwidth=1",
+         "line 6: link references undefined site 'ghost'"),
+        ("user u quota=2", "line 6: duplicate user id 'u' (first on line 4)"),
+        (BURST.replace("user=u", "user=v"),
+         "line 6: burst references undefined user 'v'"),
+        (BURST.replace("site=s1 count", "site=ghost count"),
+         "line 6: burst references undefined site 'ghost'"),
+        (BURST.replace("data_site=s1", "data_site=ghost"),
+         "line 6: burst data_site 'ghost' is undefined"),
+        ("fault crash ghost 1",
+         "line 6: fault references undefined site 'ghost'"),
+        ("site s3 nodes=1 nodes=2 power=1", "line 6: field 'nodes' given twice"),
+        ("echo_timeout nan", "line 6: unknown key 'echo_timeout'"),
+        ("echo_timeout 5", "line 6: unknown key 'echo_timeout'"),
+        ("bands 0.5 0", "line 6: unknown key 'bands'")],
+        ids=["twin site", "template site", "stray site_count",
+             "priority without diana", "twin link", "twin link reversed",
+             "self link", "link site", "twin user", "burst user", "burst site",
+             "burst data_site", "fault site", "twin field",
+             "deleted echo_timeout nan", "deleted echo_timeout 5",
+             "deleted bands"])
+    def test_exact_diagnostic(self, tmp_path, capsys, lines, err):
         bad = tmp_path / "bad.txt"
-        bad.write_text(SCENARIO.lstrip() + "link s1 s2 bandwidth=10\n"
-                       + line + "\n")
+        bad.write_text(SCENARIO.lstrip() + lines + "\n")
         code = main(["run", "--scenario", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")])
-        a, b = line.split()[1:3]
         assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: line 7: duplicate link between {a} and {b} "
-            f"(first on line 6)\n")
-
-    def test_self_link(self, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(SCENARIO.lstrip() + "link s1 s1 bandwidth=1\n")
-        code = main(["run", "--scenario", str(bad), "--seed", "1",
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: line 6: link from s1 to itself\n")
-
-    # Deleted settings stay rejected rather than silently ignored.
-    @pytest.mark.parametrize("line", ["echo_timeout nan", "echo_timeout 5",
-                                      "bands 0.5 0"])
-    def test_deleted_setting_is_unknown_key(self, tmp_path, capsys, line):
-        bad = tmp_path / "bad.txt"
-        bad.write_text(SCENARIO.lstrip() + line + "\n")
-        code = main(["run", "--scenario", str(bad), "--seed", "1",
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: line 6: unknown key {line.split()[0]!r}\n")
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_sweep_rejects_non_finite_bandwidth(self, scenario_file, tmp_path,

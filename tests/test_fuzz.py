@@ -1,14 +1,16 @@
 """Fuzzed scenario text: every input is rejected or runs consistently.
 
 A generated scenario must either raise ScenarioError (exit 2 with a
-one-line diagnostic through the CLI) or run with its job counts adding
-up, link no site to itself, serialize and parse back to an equal
-scenario (also for values drawn with long mantissas and large
-magnitudes), and give the same CSV bytes when run twice under one seed.
+one-line diagnostic through the CLI that names a line of the text) or
+run with its job counts adding up, link no site to itself, serialize
+and parse back to an equal scenario (also for values drawn with long
+mantissas and large magnitudes), and give the same CSV bytes when run
+twice under one seed.
 Those bytes hold only finite numbers; a run that would reach an
 infinite time or total raises SimulationError instead (exit 2).  A run
 also gives the same jobs, summary and event log as the reference loop
-that puts every submission on the event heap.
+that puts every submission on the event heap.  A scenario drawn
+without a fault is never rejected.
 Likewise a sweep value must be rejected naming its axis, or give a
 scenario that passes the checks again when it is rebuilt.
 """
@@ -59,13 +61,15 @@ LATENCY = (["0", "0.5"], BAD_NUMBERS)
 LOAD = (["0", "0.5"], BAD_NUMBERS + ["1"])
 QUOTA = (["0.5", "1", "3"], BAD_NUMBERS + ["0"])
 WEIGHT = (["0", "0.5", "1"], BAD_NUMBERS)
+POSITIVE_WEIGHT = (["0.5", "1"], BAD_NUMBERS)  # one per weights line
 
 # The range a good value of each record field is drawn from when it is
 # drawn as a float rather than picked from the lists above: any
 # mantissa, up to large magnitudes, so the round trip must be exact.
 LONG = {"power": (0.5, 1e15), "bandwidth": (10.0, 1e300),
         "latency": (0.0, 10.0), "quota": (1e-3, 1e300),
-        "weight": (0.0, 1e6), "data": (0.0, 1e18)}
+        "weight": (0.0, 1e6), "positive weight": (1e-6, 1e6),
+        "data": (0.0, 1e18)}
 
 # Values the parser accepts but a run cannot use: a subnormal power or a
 # demand near the float maximum makes a job's duration, or a summary
@@ -78,11 +82,14 @@ RECORD_FAULTS = ("twin link", "self link", "stray site_count", "late preset")
 
 @st.composite
 def scenario_text(draw):
-    # Half the examples draw only good values, so about half of them run.
-    # The other half hold exactly one fault: a bad value in one drawn
-    # field, an unusable value in one drawn field, or one bad record.
-    # An unusable value thus reaches a run instead of hiding behind a
-    # second fault that the parser rejects.
+    """(text, the fault planted in it, or None).
+
+    Half the examples draw only good values in valid combinations, so
+    they all parse.  The other half hold exactly one fault: a bad value
+    in one drawn field, an unusable value in one drawn field, or one bad
+    record.  An unusable value thus reaches a run instead of hiding
+    behind a second fault that the parser rejects.
+    """
     fault = None
     if draw(st.booleans()):
         fault = draw(st.sampled_from(["value", "unusable", "record"]))
@@ -134,7 +141,10 @@ def scenario_text(draw):
         lines.append(f"link {site} {site} {link_fields()}")
     lines += [f"user {u} quota={pick(*QUOTA, 'quota')}" for u in users]
     for _ in range(draw(st.integers(0, 2))):
-        weights = " ".join(pick(*WEIGHT, "weight") for _ in range(3))
+        # All three weights 0 would be rejected: one of them is positive.
+        positive = draw(st.integers(0, 2))
+        weights = " ".join(pick(*POSITIVE_WEIGHT, "positive weight") if i == positive
+                           else pick(*WEIGHT, "weight") for i in range(3))
         lines.append(f"weights {pick(KINDS)} {weights}")
     for _ in range(draw(st.integers(1, 4))):
         lines.append(
@@ -150,12 +160,21 @@ def scenario_text(draw):
         # A fault at 7 shares its time with a burst's submissions.
         lines.append(f"fault {pick(['crash', 'register', 'deregister'], ['explode'])}"
                      f" {pick(sites)} {pick(['1', '5', '7', '20'], BAD_NUMBERS)}")
-    for _ in range(draw(st.integers(0, 4))):
-        key = draw(st.sampled_from(sorted(SETTINGS)))
+    # Each scheduler line names one scheduler and each queue line one
+    # queue, and a scheduler other than diana comes with a queue line:
+    # the priority queue, the default, needs the diana scheduler.
+    scheduler = draw(st.sampled_from(SETTINGS["scheduler"][0]))
+    queues = SETTINGS["queue"][0] if scheduler == "diana" else ["fcfs", "sjf"]
+    chosen = {"scheduler": [scheduler], "queue": [draw(st.sampled_from(queues))]}
+    keys = [draw(st.sampled_from(sorted(SETTINGS)))
+            for _ in range(draw(st.integers(0, 4)))]
+    if "scheduler" in keys and scheduler != "diana":
+        keys.append("queue")
+    for key in keys:
         good, bad = SETTINGS[key]
         if _SETTINGS[key] is float:
             bad = bad + BAD_NUMBERS
-        lines.append(f"{key} {pick(good, bad)}")
+        lines.append(f"{key} {pick(chosen.get(key, good), bad)}")
     lines = draw(st.permutations(lines))
     if fault == "late preset":
         # A preset anywhere but first would discard the lines above it.
@@ -171,7 +190,7 @@ def scenario_text(draw):
         values = [good for good, _ in slots]
         values[at] = draw(st.sampled_from(kind))
         text = re.sub(r"\x00(\d+)\x00", lambda m: values[int(m[1])], text)
-    return text
+    return text, fault
 
 
 def _run(text):
@@ -200,14 +219,20 @@ def _run(text):
 
 
 @settings(max_examples=50, deadline=None)
-@given(text=scenario_text())
-@example(text="site s1 nodes=2 power=5e-324\nuser u1 quota=1\n"
-              "burst time=0 user=u1 site=s1 count=1 demand=1e308 procs=1 "
-              "data_site=s1\n")
-def test_scenario_text_is_rejected_or_runs_consistently(text):
+@given(case=scenario_text())
+@example(case=("site s1 nodes=2 power=5e-324\nuser u1 quota=1\n"
+               "burst time=0 user=u1 site=s1 count=1 demand=1e308 procs=1 "
+               "data_site=s1\n", "unusable"))
+def test_scenario_text_is_rejected_or_runs_consistently(case):
+    text, fault = case
     try:
         scenario = parse_scenario(text)
-    except ScenarioError:
+    except ScenarioError as exc:
+        # Good values, or values only a run can find unusable, parse.
+        assert fault not in (None, "unusable"), f"{fault}: {exc}"
+        # One line, naming a line of the text, which declares sites.
+        line = re.fullmatch(r"line (\d+): [^\n]+", str(exc))
+        assert line and 1 <= int(line[1]) <= len(text.splitlines()), str(exc)
         return
     assert all(l.from_site != l.to_site for l in scenario.links)
     assert parse_scenario(serialize_scenario(scenario)) == scenario
@@ -226,8 +251,9 @@ def _outcome(run):
 
 
 @settings(max_examples=50, deadline=None)
-@given(text=scenario_text())
-def test_streamed_submissions_match_the_heap_loop(text):
+@given(case=scenario_text())
+def test_streamed_submissions_match_the_heap_loop(case):
+    text, _ = case
     # run() streams submissions past its heap; the reference pushes them
     # all onto it first.  Both must give the same run.
     try:

@@ -123,6 +123,17 @@ class TestParsing:
         assert len(s.bursts) == 200
         assert s.sites[0].site_id == "site1"
 
+    # A repeated field would keep its last value; a defaulted one too.
+    @pytest.mark.parametrize("text,message", [
+        ("site s1 nodes=1 nodes=4 power=1\n", "line 1: field 'nodes' given twice"),
+        ("site_template prefix=a prefix=b nodes=1 power=1\n",
+         "line 1: field 'prefix' given twice"),
+        (MINIMAL.replace("data_site=s1", "data_site=s1 kind=mixed kind=data_intensive"),
+         "line 4: field 'kind' given twice")], ids=["site", "site_template", "burst"])
+    def test_field_given_twice_rejected(self, text, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario(text)
+
     def test_preset_after_a_statement_rejected(self):
         # It would silently discard every statement before it.
         with pytest.raises(ScenarioError,
@@ -164,21 +175,59 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"thrs.*\[0, 1\]"):
             parse_scenario("thrs 1.5\n" + MINIMAL)
 
+    # A rule that relates lines to each other names the offending line,
+    # and a duplicate the line it repeats.
     def test_link_to_undefined_site(self):
-        with pytest.raises(ScenarioError, match="undefined site 'ghost'"):
+        with pytest.raises(ScenarioError, match=(
+                "^line 5: link references undefined site 'ghost'$")):
             parse_scenario(MINIMAL + "link s1 ghost bandwidth=100\n")
 
     def test_burst_with_unknown_user(self):
-        with pytest.raises(ScenarioError, match="undefined user"):
+        with pytest.raises(ScenarioError, match=(
+                "^line 4: burst references undefined user 'bob'$")):
             parse_scenario(MINIMAL.replace("user=alice", "user=bob"))
 
+    @pytest.mark.parametrize("text,message", [
+        (MINIMAL + "user alice quota=2\n",
+         r"line 5: duplicate user id 'alice' \(first on line 3\)"),
+        (MINIMAL.replace("site=s1 count", "site=ghost count"),
+         "line 4: burst references undefined site 'ghost'"),
+        (MINIMAL.replace("data_site=s1", "data_site=ghost"),
+         "line 4: burst data_site 'ghost' is undefined"),
+        (MINIMAL + "fault crash ghost 1\n",
+         "line 5: fault references undefined site 'ghost'"),
+        # A preset's records are on the preset's line.
+        ("preset P1\nsite site3 nodes=1 power=1\n",
+         r"line 2: duplicate site id 'site3' \(first on line 1\)"),
+        # The template's sites are on the site_template line, before or
+        # after the site they repeat.
+        ("site_template prefix=s nodes=1 power=1\nsite_count 2\n" + MINIMAL
+         + "site s002 nodes=1 power=1\n",
+         r"line 7: duplicate site id 's002' \(first on line 1\)"),
+        (MINIMAL + "site s001 nodes=1 power=1\n"
+         "site_template prefix=s nodes=1 power=1\nsite_count 1\n",
+         r"line 6: duplicate site id 's001' \(first on line 5\)")],
+        ids=["twin user", "burst site", "burst data_site", "fault site",
+             "preset site", "site after template", "template after site"])
+    def test_cross_record_rule_names_its_lines(self, text, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario(text)
+
     def test_no_sites(self):
-        with pytest.raises(ScenarioError, match="no sites"):
+        # The one rejection that names no line: there is none to blame.
+        with pytest.raises(ScenarioError, match="^scenario defines no sites$"):
             parse_scenario("thrs 0.3\n")
 
     def test_duplicate_sites(self):
-        with pytest.raises(ScenarioError, match="duplicate site"):
+        with pytest.raises(ScenarioError, match=(
+                r"^line 3: duplicate site id 's1' \(first on line 1\)$")):
             parse_scenario("site s1 nodes=1 power=1\n" + MINIMAL)
+
+    def test_duplicate_sites_built_in_code(self):
+        site = SiteDef("t001", 1, 1.0)
+        with pytest.raises(ScenarioError, match="^duplicate site id 't001'$") as err:
+            Scenario(sites=[site], site_template=SiteDef("t", 1, 1.0), site_count=1)
+        assert err.value.about == ("site_template", site)
 
     # A second link for a pair, in either order, would replace the first.
     @pytest.mark.parametrize("second", ["link s1 s2 bandwidth=1000",
@@ -198,8 +247,9 @@ class TestValidation:
         link = scenario.links[0]
         reverse = type(link)(link.to_site, link.from_site, 1000.0)
         with pytest.raises(ScenarioError,
-                           match="^duplicate links between one pair of sites$"):
+                           match="^duplicate link between s2 and s1$") as err:
             dataclasses.replace(scenario, links=[*scenario.links, reverse])
+        assert err.value.about == (reverse, link)
 
     # A site reaches itself without a link, so the line can only be a typo.
     def test_self_link(self):
@@ -217,11 +267,13 @@ class TestValidation:
             dataclasses.replace(scenario, links=[loop])
 
     def test_priority_queue_needs_diana(self):
-        with pytest.raises(ScenarioError, match="priority queue"):
+        with pytest.raises(ScenarioError, match=(
+                "^line 1: priority queue discipline requires the diana scheduler$")):
             parse_scenario("scheduler round_robin\nqueue priority\n" + MINIMAL)
 
     def test_unknown_fault_action(self):
-        with pytest.raises(ScenarioError, match="fault action"):
+        with pytest.raises(ScenarioError, match=(
+                "^line 5: invalid fault entry: unknown fault action 'explode'$")):
             parse_scenario(MINIMAL + "fault explode s1 10\n")
 
     @pytest.mark.parametrize("line", OUT_OF_RANGE)
@@ -242,7 +294,7 @@ class TestValidation:
 
     def test_site_count_needs_a_template(self):
         with pytest.raises(ScenarioError,
-                           match="^site_count needs a site_template$"):
+                           match="^line 1: site_count needs a site_template$"):
             parse_scenario("site_count 3\n" + MINIMAL)
 
     @pytest.mark.parametrize("key,value", [("thrs", 1.5), ("alpha", 0.0),
