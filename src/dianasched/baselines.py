@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence, Tuple
 
-from .core import JobSpec
+from .core import Job
 
 
 class SchedulerKind(str, Enum):
@@ -32,7 +32,7 @@ def rr_schedule(sites: Sequence[str], cursor: int) -> Tuple[str, int]:
     return sites[cursor % len(sites)], (cursor + 1) % len(sites)
 
 
-def flop_schedule(job: JobSpec, sites: Sequence) -> str:
+def flop_schedule(job: Job, sites: Sequence) -> str:
     """Site with the most idle capacity (node_power * idle_nodes).
 
     `sites` are objects with site_id, node_power and idle_nodes.  Ties

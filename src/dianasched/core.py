@@ -19,9 +19,25 @@ class JobKind(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True)
-class JobSpec:
-    """An abstract job: compute demand, processor need, and input data."""
+class JobStatus(str, Enum):
+    PENDING = "pending"
+    RUNNING = "running"
+    COMPLETED = "completed"
+    FAILED_UNREACHABLE = "failed_unreachable"
+    REJECTED_UNSCHEDULABLE = "rejected_unschedulable"
+
+
+@dataclass(slots=True, eq=False)
+class Job:
+    """One job, the one object that stands for it from workload expansion
+    to the jobs.csv row.
+
+    The first eight fields are the job's spec: its compute demand,
+    processor need and input data, fixed once the workload is expanded.
+    `submit_site` is the site whose meta-scheduler receives it.  The
+    rest is run state, which only the engine writes.  Jobs compare by
+    identity.
+    """
 
     job_id: str
     user_id: str
@@ -31,6 +47,14 @@ class JobSpec:
     data_site: str
     submit_time: float
     kind: JobKind = JobKind.MIXED
+    submit_site: Optional[str] = None
+    status: JobStatus = field(default=JobStatus.PENDING, init=False)
+    scheduled: Optional[float] = field(default=None, init=False)  # placement time
+    started: Optional[float] = field(default=None, init=False)
+    completed: Optional[float] = field(default=None, init=False)
+    exec_site: Optional[str] = field(default=None, init=False)
+    transfer_total: float = field(default=0.0, init=False)
+    migrations: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.processors_required < 1:
@@ -39,6 +63,25 @@ class JobSpec:
             raise ValueError(f"job {self.job_id}: compute_demand must be >= 0")
         if self.data_size < 0:
             raise ValueError(f"job {self.job_id}: data_size must be >= 0")
+
+    @property
+    def spec(self) -> "Job":
+        """The job itself, whose spec fields are its own: for callers
+        outside the package that read `job.spec.job_id`.  The package
+        never reads it, and a hot path must not."""
+        return self
+
+    @property
+    def queue_time(self) -> Optional[float]:
+        if self.started is None:
+            return None
+        return self.started - self.submit_time - self.transfer_total
+
+    @property
+    def exec_time(self) -> Optional[float]:
+        if self.completed is None:
+            return None
+        return self.completed - self.submit_time
 
 
 @dataclass(frozen=True)

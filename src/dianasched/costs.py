@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import JobKind, JobSpec, NetworkLink, UnreachableSiteError
+from .core import Job, JobKind, NetworkLink, UnreachableSiteError
 
 EPSILON = 1e-9  # guards the cold-start division before any job completes
 REFERENCE_BANDWIDTH = 1000.0  # Mbps
@@ -42,7 +42,7 @@ PRESET_WEIGHTS = {
 UNIT_WEIGHTS = CostWeights(1.0, 1.0, 1.0)
 
 
-def transfer_cost(job: JobSpec, source: str, dest: str,
+def transfer_cost(job: Job, source: str, dest: str,
                   link: Optional[NetworkLink]) -> float:
     """Seconds to move the job's input data from `source` to `dest`."""
     if source == dest:
@@ -53,7 +53,7 @@ def transfer_cost(job: JobSpec, source: str, dest: str,
     return link.latency + bits / (link.available * 1e6)
 
 
-def total_cost(job: JobSpec, site, backlog: float,
+def total_cost(job: Job, site, backlog: float,
                link: Optional[NetworkLink], weights: CostWeights,
                b_ref: float = REFERENCE_BANDWIDTH) -> float:
     """Weighted aggregate cost of running `job` at one candidate site.

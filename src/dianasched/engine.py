@@ -17,10 +17,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
-from .core import (JobKind, JobSpec, RateEstimator, Topology,
+from .core import (Job, JobKind, JobStatus, RateEstimator, Topology,
                    UnreachableSiteError, UserProfile)
 from .costs import transfer_cost
 from .discovery import PeerRegistry
@@ -36,14 +37,6 @@ MAX_IDLE_TICKS = 2000
 
 class SimulationError(RuntimeError):
     """An engine invariant does not hold; the run cannot continue."""
-
-
-class JobStatus(str, Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    COMPLETED = "completed"
-    FAILED_UNREACHABLE = "failed_unreachable"
-    REJECTED_UNSCHEDULABLE = "rejected_unschedulable"
 
 
 class EventKind(str, Enum):
@@ -98,31 +91,6 @@ _TERMINAL_EVENT = {status: EventKind(status.value) for status in (
     JobStatus.REJECTED_UNSCHEDULABLE)}
 
 
-@dataclass(slots=True)
-class JobRecord:
-    spec: JobSpec
-    submit_site: str
-    status: JobStatus = JobStatus.PENDING
-    scheduled: Optional[float] = None  # placement decision time
-    started: Optional[float] = None
-    completed: Optional[float] = None
-    exec_site: Optional[str] = None
-    transfer_total: float = 0.0
-    migrations: int = 0
-
-    @property
-    def queue_time(self) -> Optional[float]:
-        if self.started is None:
-            return None
-        return self.started - self.spec.submit_time - self.transfer_total
-
-    @property
-    def exec_time(self) -> Optional[float]:
-        if self.completed is None:
-            return None
-        return self.completed - self.spec.submit_time
-
-
 class SiteRuntime:
     """The one mutable record of a site during a run.
 
@@ -140,7 +108,7 @@ class SiteRuntime:
         self.running = 0  # jobs handed to the local resource manager
         self.idle_nodes = sdef.nodes
         self.crashed = False
-        self.parked: List[str] = []  # job ids submitted while crashed
+        self.parked: List[Job] = []  # submitted while crashed
         self.snapshots: Dict[str, PeerSnapshot] = {}
         self.last_poll: Optional[float] = None
         self.arr_est = RateEstimator(scenario.alpha)
@@ -159,43 +127,44 @@ class SiteRuntime:
         return self.running + len(self.queue)
 
 
-def generate_workload(scenario: Scenario,
-                      seed: int) -> List[Tuple[JobSpec, str]]:
-    """Expand the scenario's bursts into (job, submit site) pairs.
+def generate_workload(scenario: Scenario, seed: int) -> Dict[str, Job]:
+    """Expand the scenario's bursts into their jobs, by id in declaration
+    order.
 
-    Deterministic under the seed; job ids are sequential in declaration
-    order so same-time bursts keep a stable ordering.
+    Deterministic under the seed.  Job ids are `j` plus the job's
+    declaration index, zero-padded to five digits.  Queues break ties
+    between same-time jobs of one class on the id as text, so up to
+    99,999 jobs that is declaration order; past it, `j100000` sorts
+    before `j99999`.
     """
     rng = random.Random(seed)
     site_count = scenario.resolved_site_count()
-    out = []
+    jobs: Dict[str, Job] = {}
     counter = 0
     for burst in scenario.bursts:
         count = burst.count * (site_count if burst.per_site else 1)
+        demand = burst.demand
+        lo, hi = demand if isinstance(demand, tuple) else (demand, demand)
         for _ in range(count):
             counter += 1
-            if isinstance(burst.demand, tuple):
-                lo, hi = burst.demand
-                demand = lo if lo == hi else rng.uniform(lo, hi)
-            else:
-                demand = burst.demand
-            job = JobSpec(job_id=f"j{counter:05d}", user_id=burst.user,
-                          compute_demand=demand,
-                          processors_required=burst.procs,
-                          data_size=burst.data, data_site=burst.data_site,
-                          submit_time=burst.time, kind=burst.kind)
-            out.append((job, burst.site))
-    return out
+            job_id = f"j{counter:05d}"
+            jobs[job_id] = Job(job_id, burst.user,
+                               lo if lo == hi else rng.uniform(lo, hi),
+                               burst.procs, burst.data, burst.data_site,
+                               burst.time, burst.kind, burst.site)
+    return jobs
 
 
-def workload_hash(jobs: List[Tuple[JobSpec, str]]) -> str:
+def workload_hash(jobs: Iterable[Job]) -> str:
+    """The first 16 hex digits of a SHA-256 over one line per job: its
+    spec fields and submit site."""
     h = hashlib.sha256()
     # A lookup per job instead of a call to Enum's `value` descriptor.
     kind_text = {kind: kind.value for kind in JobKind}
-    for job, site in jobs:
+    for job in jobs:
         h.update(f"{job.job_id}|{job.user_id}|{job.compute_demand!r}|"
                  f"{job.processors_required}|{job.data_size!r}|{job.data_site}|"
-                 f"{job.submit_time!r}|{kind_text[job.kind]}|{site}\n".encode())
+                 f"{job.submit_time!r}|{kind_text[job.kind]}|{job.submit_site}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -203,7 +172,7 @@ def workload_hash(jobs: List[Tuple[JobSpec, str]]) -> str:
 class RunResult:
     scenario: Scenario
     seed: int
-    jobs: Dict[str, JobRecord]  # in workload order
+    jobs: Dict[str, Job]  # in workload order
     log: list  # t, kind, *values of each event in turn, from Simulation._trace
     messages: int
     utilization: Dict[str, float]
@@ -237,7 +206,7 @@ class RunResult:
             out.append(entry)
         return out
 
-    def records(self) -> List[JobRecord]:
+    def records(self) -> List[Job]:
         return list(self.jobs.values())
 
     def count(self, status: JobStatus) -> int:
@@ -302,9 +271,8 @@ class Simulation:
         self.registry = PeerRegistry(scenario.echo_retries)
         for sid in self.sites:
             self.registry.register(sid)
-        workload = generate_workload(scenario, seed)
-        self.workload_digest = workload_hash(workload)
-        self.jobs = {job.job_id: JobRecord(job, site) for job, site in workload}
+        self.jobs = generate_workload(scenario, seed)
+        self.workload_digest = workload_hash(self.jobs.values())
         self.pending = len(self.jobs)
         self.rr_cursor = 0
         self._idle_ticks = 0
@@ -340,8 +308,7 @@ class Simulation:
         # >= 0.  One is taken whenever its time is not after the heap
         # top's, so at equal times it runs before every other event, as
         # if it had been scheduled before them.
-        submits = sorted(self.jobs.values(),
-                         key=lambda rec: rec.spec.submit_time)
+        submits = sorted(self.jobs.values(), key=attrgetter("submit_time"))
         on_submit = self._on_submit
         heap = self._heap
         pop = heapq.heappop
@@ -349,10 +316,10 @@ class Simulation:
         i, end = 0, len(submits)
         while True:
             if i < end and (
-                    not heap or submits[i].spec.submit_time <= heap[0][0]):
-                rec = submits[i]
+                    not heap or submits[i].submit_time <= heap[0][0]):
+                job = submits[i]
                 i += 1
-                time, fn, args = rec.spec.submit_time, on_submit, (rec,)
+                time, fn, args = job.submit_time, on_submit, (job,)
             elif heap:
                 time, _, fn, args = pop(heap)
             else:
@@ -377,28 +344,27 @@ class Simulation:
 
     # -- job lifecycle -------------------------------------------------
 
-    def _terminal(self, rec: JobRecord, status: JobStatus, *extra) -> None:
-        rec.status = status
+    def _terminal(self, job: Job, status: JobStatus, *extra) -> None:
+        job.status = status
         self.pending -= 1
         self._idle_ticks = 0
-        self._trace(_TERMINAL_EVENT[status], rec.spec.job_id, *extra)
+        self._trace(_TERMINAL_EVENT[status], job.job_id, *extra)
 
-    def _on_submit(self, rec: JobRecord) -> None:
+    def _on_submit(self, job: Job) -> None:
         self._idle_ticks = 0
-        site = self.sites[rec.submit_site]
+        site = self.sites[job.submit_site]
         site.arrivals_window += 1
-        self._trace(EventKind.SUBMIT, rec.spec.job_id, site.site_id)
+        self._trace(EventKind.SUBMIT, job.job_id, site.site_id)
         if site.crashed:
-            site.parked.append(rec.spec.job_id)
+            site.parked.append(job)
             return
-        self._place(rec)
+        self._place(job)
 
-    def _place(self, rec: JobRecord) -> None:
-        job = rec.spec
-        site = self.sites[rec.submit_site]
+    def _place(self, job: Job) -> None:
+        site = self.sites[job.submit_site]
         kind = self.scenario.scheduler
         if job.processors_required > self.max_nodes:
-            self._terminal(rec, JobStatus.REJECTED_UNSCHEDULABLE)
+            self._terminal(job, JobStatus.REJECTED_UNSCHEDULABLE)
             return
         if kind is SchedulerKind.ROUND_ROBIN:
             chosen = None
@@ -425,68 +391,66 @@ class Simulation:
                                     b_ref=self.scenario.b_ref,
                                     weight_overrides=self.scenario.weights)
             except UnschedulableError:
-                self._terminal(rec, JobStatus.REJECTED_UNSCHEDULABLE)
+                self._terminal(job, JobStatus.REJECTED_UNSCHEDULABLE)
                 return
             except UnreachableSiteError:
-                self._terminal(rec, JobStatus.FAILED_UNREACHABLE, None)
+                self._terminal(job, JobStatus.FAILED_UNREACHABLE, None)
                 return
             chosen = decision.chosen_site
             if chosen != site.site_id and chosen in site.snapshots:
                 site.snapshots[chosen].sent_since += 1
-        rec.scheduled = self.now
-        self._send(rec, chosen, migration=False)
+        job.scheduled = self.now
+        self._send(job, chosen, migration=False)
 
-    def _send(self, rec: JobRecord, dest: str, migration: bool) -> None:
+    def _send(self, job: Job, dest: str, migration: bool) -> None:
         """Move a job (and stage its data) to `dest`, then enqueue it there."""
-        job = rec.spec
         delay = 0.0
         if job.data_site != dest:
             try:
                 link = self.topology.link_between(job.data_site, dest)
             except UnreachableSiteError:
-                self._terminal(rec, JobStatus.FAILED_UNREACHABLE, dest)
+                self._terminal(job, JobStatus.FAILED_UNREACHABLE, dest)
                 return
             delay = transfer_cost(job, job.data_site, dest, link)
-            rec.transfer_total += delay
+            job.transfer_total += delay
         self._trace(EventKind.MIGRATE if migration else EventKind.PLACE,
                     job.job_id, dest, delay)
-        self._at(self.now + delay, self._on_arrival, rec, dest)
+        self._at(self.now + delay, self._on_arrival, job, dest)
 
-    def _on_arrival(self, rec: JobRecord, dest: str) -> None:
+    def _on_arrival(self, job: Job, dest: str) -> None:
         self._idle_ticks = 0
         site = self.sites[dest]
-        site.queue.enqueue(rec.spec)
+        site.queue.enqueue(job)
         self._try_allocate(site)
 
     def _try_allocate(self, site: SiteRuntime) -> None:
         if site.crashed:
             return
         while len(site.queue):
-            head = site.queue.ordered(1)[0]
-            if head.processors_required > site.idle_nodes:
+            job = site.queue.ordered(1)[0]
+            if job.processors_required > site.idle_nodes:
                 break  # head-of-line blocking, no backfilling
-            site.queue.remove(head.job_id)
-            rec = self.jobs[head.job_id]
-            rec.started = self.now
-            rec.exec_site = site.site_id
-            rec.status = JobStatus.RUNNING
-            site.idle_nodes -= head.processors_required
+            site.queue.remove(job.job_id)
+            job.started = self.now
+            job.exec_site = site.site_id
+            job.status = JobStatus.RUNNING
+            site.idle_nodes -= job.processors_required
             site.running += 1
-            duration = (head.compute_demand /
-                        (site.node_power * head.processors_required)
-                        if head.compute_demand else 0.0)
-            self._trace(EventKind.ALLOCATE, head.job_id, site.site_id,
+            duration = (job.compute_demand /
+                        (site.node_power * job.processors_required)
+                        if job.compute_demand else 0.0)
+            self._trace(EventKind.ALLOCATE, job.job_id, site.site_id,
                         duration)
-            self._at(self.now + duration, self._on_complete, rec, duration)
+            self._at(self.now + duration, self._on_complete, job, duration)
 
-    def _on_complete(self, rec: JobRecord, duration: float) -> None:
-        site = self.sites[rec.exec_site]
-        rec.completed = self.now
-        site.idle_nodes += rec.spec.processors_required
+    def _on_complete(self, job: Job, duration: float) -> None:
+        site = self.sites[job.exec_site]
+        job.completed = self.now
+        site.idle_nodes += job.processors_required
         site.running -= 1
         site.completions_window += 1
-        site.busy_node_seconds += duration * rec.spec.processors_required
-        self._terminal(rec, JobStatus.COMPLETED, site.site_id)
+        site.busy_node_seconds += duration * job.processors_required
+        self._terminal(job, JobStatus.COMPLETED, site.site_id)
         self._try_allocate(site)
 
     # -- peer communication --------------------------------------------
@@ -594,14 +558,13 @@ class Simulation:
         picked_pr = {jid: site.queue.priority_of(jid) for jid in cands}
         for jid in cands:
             pr = picked_pr[jid]
-            site.queue.remove(jid)
-            rec = self.jobs[jid]
-            rec.migrations += 1
+            job = site.queue.remove(jid)
+            job.migrations += 1
             self._trace(EventKind.MIGRATION_PICK, jid, site.site_id, target,
                         pr, ratio)
             if target in site.snapshots:
                 site.snapshots[target].sent_since += 1
-            self._send(rec, target, migration=True)
+            self._send(job, target, migration=True)
 
     def _on_echo_tick(self) -> None:
         responder = lambda sid: not self.sites[sid].crashed
@@ -638,8 +601,8 @@ class Simulation:
             self._trace(EventKind.PEER_REGISTERED, fault.site)
             self._idle_ticks = 0
             parked, site.parked = site.parked, []
-            for jid in parked:
-                self._place(self.jobs[jid])
+            for job in parked:
+                self._place(job)
             self._try_allocate(site)
 
 

@@ -8,7 +8,8 @@ processor count, so it is kept once per (user, processors) class and
 recomputed for every class on each arrival and departure
 (reprioritization), which removes any need for aging.  Under `sjf` the
 queue serves ascending processor counts, then submit time, then job id,
-and under `fcfs` the order of arrival at the site.
+and under `fcfs` the order of arrival at the site.  Job ids compare as
+text, so the generated `j100000` sorts before `j99999`.
 
 Each class keeps its jobs in one list sorted by (submit time, job id).
 All jobs of a class share one rank: minus the class priority under
@@ -34,7 +35,7 @@ from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .baselines import QueueDiscipline
-from .core import JobSpec, UserProfile
+from .core import Job, UserProfile
 
 
 def priority(n: int, big_n: float) -> float:
@@ -67,9 +68,9 @@ class MultilevelQueue:
                  discipline: QueueDiscipline = QueueDiscipline.PRIORITY_MULTIQUEUE):
         self.users = users
         self.discipline = discipline
-        self.jobs: Dict[str, JobSpec] = {}  # in arrival order
+        self.jobs: Dict[str, Job] = {}  # in arrival order
         # (user, processors) -> its jobs by (submit_time, job_id)
-        self._classes: Dict[Tuple[str, int], List[JobSpec]] = {}
+        self._classes: Dict[Tuple[str, int], List[Job]] = {}
         self._class_priorities: Dict[Tuple[str, int], float] = {}
 
     def __len__(self) -> int:
@@ -77,7 +78,7 @@ class MultilevelQueue:
 
     # -- transitions ---------------------------------------------------
 
-    def enqueue(self, job: JobSpec) -> None:
+    def enqueue(self, job: Job) -> None:
         """Add a job and reprioritize."""
         if job.job_id in self.jobs:
             raise DuplicateJobError(job.job_id)
@@ -90,7 +91,7 @@ class MultilevelQueue:
                key=_submit_order)
         self.reprioritize()
 
-    def remove(self, job_id: str) -> JobSpec:
+    def remove(self, job_id: str) -> Job:
         job = self.jobs.pop(job_id)
         cls = _class_of(job)
         members = self._classes[cls]
@@ -128,7 +129,7 @@ class MultilevelQueue:
         """A queued job's priority (priority discipline only)."""
         return self._class_priorities[_class_of(self.jobs[job_id])]
 
-    def ordered(self, limit: Optional[int] = None) -> List[JobSpec]:
+    def ordered(self, limit: Optional[int] = None) -> List[Job]:
         """The first `limit` queued jobs in service order (all by default).
 
         priority: descending priority, then submit time, then job id;
@@ -170,14 +171,14 @@ class MultilevelQueue:
         return [job.job_id for _, job in islice(worst_first, batch_size)]
 
 
-def _class_of(job: JobSpec) -> Tuple[str, int]:
+def _class_of(job: Job) -> Tuple[str, int]:
     return job.user_id, job.processors_required
 
 
 _submit_order = attrgetter("submit_time", "job_id")
 
 
-def _service_order(ranked: Tuple[float, JobSpec]) -> tuple:
+def _service_order(ranked: Tuple[float, Job]) -> tuple:
     """Sort key of a (class rank, job) pair: rank, submit time, job id."""
     rank, job = ranked
     return rank, job.submit_time, job.job_id

@@ -39,19 +39,19 @@ def fmt_value(x) -> str:
 
 def jobs_rows(result: RunResult) -> Iterator[List[str]]:
     """One jobs.csv row per job, produced as the writer asks for it."""
-    for rec in result.records():
+    for job in result.records():
         yield [
-            rec.spec.job_id,
-            rec.spec.user_id,
-            rec.exec_site or "",
-            fmt_value(rec.spec.submit_time),
-            fmt_value(rec.scheduled),
-            fmt_value(rec.started),
-            fmt_value(rec.completed),
-            fmt_value(rec.queue_time),
-            fmt_value(rec.exec_time),
-            str(rec.migrations),
-            rec.status.value,
+            job.job_id,
+            job.user_id,
+            job.exec_site or "",
+            fmt_value(job.submit_time),
+            fmt_value(job.scheduled),
+            fmt_value(job.started),
+            fmt_value(job.completed),
+            fmt_value(job.queue_time),
+            fmt_value(job.exec_time),
+            str(job.migrations),
+            job.status.value,
         ]
 
 

@@ -8,7 +8,10 @@ rules that relate records and settings to each other when it is
 constructed, so the parser only converts text.  Every error names its
 line: the parser prefixes the line of the statement it is reading, or
 the lines of the records and settings a Scenario error is about.  Only
-a file that declares no site gets an error without a line.
+a file that declares no site gets an error without a line.  A statement
+that sets one value, such as a setting, is given once per file, and a
+scenario's job and site counts are held under MAX_JOBS and MAX_SITES
+before anything is expanded.
 """
 
 from __future__ import annotations
@@ -99,6 +102,15 @@ class FaultDef:
 
 _RECORDS = ("sites", "links", "users", "bursts", "faults")  # Scenario's tuples
 
+# Ceilings on a scenario's size, checked before anything is expanded so
+# that a typo in a count ends in an error, not in exhausted memory.  A
+# run's heap peaks at about 560 bytes per job (the job, its id and
+# entry in the jobs dict, and its events), so MAX_JOBS keeps it near
+# 0.6 GB.  Each site may hold a poll snapshot of every other site, about
+# 210 bytes each, so MAX_SITES keeps that table under 0.9 GB.
+MAX_JOBS = 1_000_000
+MAX_SITES = 2_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -112,8 +124,10 @@ class Scenario:
     docs/scenario-format.md's table.  The instance is frozen, its
     record lists are tuples and its weights a read-only mapping, so a
     Scenario that exists is valid and stays so; vary one with
-    dataclasses.replace, which checks the result again.  Its errors name
-    no line; parse_scenario names the lines of what they are about.
+    dataclasses.replace, which checks the result again.  Its bursts
+    expand to at most MAX_JOBS jobs, counted without expanding them.
+    Its errors name no line; parse_scenario names the lines of what
+    they are about.
     """
 
     scheduler: SchedulerKind = SchedulerKind.DIANA
@@ -191,6 +205,7 @@ class Scenario:
             if (uid := user.user_id) in users:
                 raise ScenarioError(f"duplicate user id {uid!r}", user, users[uid])
             users[uid] = user
+        jobs = 0  # the workload's size, counted without expanding it
         for b in self.bursts:
             if b.user not in users:
                 raise ScenarioError(f"burst references undefined user {b.user!r}", b)
@@ -198,6 +213,11 @@ class Scenario:
                 raise ScenarioError(f"burst references undefined site {b.site!r}", b)
             if b.data_site not in known_sites:
                 raise ScenarioError(f"burst data_site {b.data_site!r} is undefined", b)
+            jobs += b.count * (len(sites) if b.per_site else 1)
+            if jobs > MAX_JOBS:
+                per_site = f" ({b.count} x {len(sites)} sites)" if b.per_site else ""
+                raise ScenarioError(f"burst brings the workload to {jobs} jobs{per_site}, "
+                                    f"over the ceiling of {MAX_JOBS}", b)
         for f in self.faults:
             if f.site not in known_sites:
                 raise ScenarioError(f"fault references undefined site {f.site!r}", f)
@@ -224,7 +244,7 @@ _SETTING_RANGES = {
     "alpha": (lambda v: 0 < v <= 1, "finite and in (0, 1]"),
     "b_ref": (lambda v: v > 0, "finite and > 0"),
     "duration_cap": (lambda v: v >= 0, "finite and >= 0"),
-    "site_count": (lambda v: v >= 0, ">= 0"),
+    "site_count": (lambda v: 0 <= v <= MAX_SITES, f"in [0, {MAX_SITES}]"),
 }
 
 
@@ -250,22 +270,47 @@ _SETTINGS = {key: _parse_bool if kind is bool else kind
              for key, kind in _SETTING_TYPES.items()}
 
 
-def _parse_kv(parts: List[str], required: Tuple[str, ...],
-              optional: Tuple[str, ...] = ()) -> Dict[str, str]:
+# The fields of each statement written as key=value pairs: the required
+# ones, in the order a "missing field(s)" error lists them, as a set
+# too, and every allowed one.
+_FIELDS = {key: (required, frozenset(required), frozenset(required + optional))
+           for key, required, optional in (
+               ("site", ("nodes", "power"), ()),
+               ("site_template", ("nodes", "power"), ("prefix",)),
+               ("default_link", ("bandwidth",), ("latency", "load")),
+               ("link", ("bandwidth",), ("latency", "load")),
+               ("user", ("quota",), ()),
+               ("burst", ("time", "user", "site", "count", "demand", "procs",
+                          "data_site"), ("data", "kind", "per_site")))}
+
+# The statements a file gives at most once, besides the scalar settings;
+# `weights` once per job kind.
+_ONCE = ("site_template", "default_link", "weights")
+
+_KINDS = {kind.value: kind for kind in JobKind}
+
+
+def _parse_kv(parts: List[str], key: str) -> Dict[str, str]:
+    required, required_set, allowed = _FIELDS[key]
     got: Dict[str, str] = {}
     for part in parts:
         k, eq, v = part.partition("=")
         if not eq:
             raise ScenarioError(f"expected key=value, got {part!r}")
-        if k not in required and k not in optional:
+        if k not in allowed:
             raise ScenarioError(f"unknown field {k!r}")
         if k in got:
             raise ScenarioError(f"field {k!r} given twice")
         got[k] = v
-    missing = [k for k in required if k not in got]
-    if missing:
+    if not required_set <= got.keys():
+        missing = [k for k in required if k not in got]
         raise ScenarioError(f"missing field(s) {', '.join(missing)}")
     return got
+
+
+def _parse_kind(text: str) -> JobKind:
+    # The Enum call only when the lookup fails, for its error.
+    return _KINDS.get(text) or JobKind(text)
 
 
 def _parse_demand(text: str) -> DemandSpec:
@@ -276,8 +321,9 @@ def _parse_demand(text: str) -> DemandSpec:
 
 
 def _statements(text: str):
-    """(line number, words) of each statement; a `preset` line, valid
-    only first, yields its preset's statements under its own number."""
+    """(line number, words, from a preset) of each statement; a `preset`
+    line, valid only first, yields its preset's statements under its
+    own number."""
     first = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -293,17 +339,33 @@ def _statements(text: str):
                 raise ScenarioError(
                     f"line {lineno}: unknown preset {parts[1]!r}; "
                     f"known presets: {', '.join(PRESETS)}")
-            for _, words in _statements(PRESETS[parts[1]]):
-                yield lineno, words
+            for _, words, _ in _statements(PRESETS[parts[1]]):
+                yield lineno, words, True
         else:
-            yield lineno, parts
+            yield lineno, parts, False
         first = False
 
 
+def _at_lines(message, lines: List[int]) -> ScenarioError:
+    """An error at the last of `lines`, naming the others as the lines
+    that first gave what it duplicates."""
+    *first, at = sorted(lines)
+    return ScenarioError(f"line {at}: {message}" + "".join(
+        f" (first on line {n})" for n in first))
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text into one Scenario; errors carry line numbers."""
+    """Parse scenario text into one Scenario; errors carry line numbers.
+
+    A setting, `site_template`, `default_link` or `weights` line for one
+    kind is given at most once; a line after a `preset` may override
+    the preset's.
+    """
     kw = {"weights": {}, **{name: [] for name in _RECORDS}}
-    lines: Dict[object, int] = {}  # a setting's line by its name, a record's by id()
+    # The line of a statement given once, by its name, and of a record,
+    # by id().
+    lines: Dict[object, int] = {}
+    given = set()  # the statements given once, outside a preset
     # One str per distinct id, shared by every burst and the jobs it
     # expands into, instead of a copy per burst line.
     ids: Dict[str, str] = {}
@@ -311,10 +373,23 @@ def parse_scenario(text: str) -> Scenario:
         kw[name].append(record)
         lines[id(record)] = lineno
 
-    for lineno, parts in _statements(text):
+    for lineno, parts, preset in _statements(text):
         key, args = parts[0], parts[1:]
+        name = key
         try:
-            if key in _SETTINGS:
+            # The statement a workload has most of, first.
+            if key == "burst":
+                kv = _parse_kv(args, key)
+                user, site, data_site = kv["user"], kv["site"], kv["data_site"]
+                add("bursts", BurstDef(  # in field order
+                    float(kv["time"]), ids.setdefault(user, user),
+                    ids.setdefault(site, site), int(kv["count"]),
+                    _parse_demand(kv["demand"]), int(kv["procs"]),
+                    float(kv.get("data", "0")),
+                    ids.setdefault(data_site, data_site),
+                    _parse_kind(kv.get("kind", "mixed")),
+                    _parse_bool(kv.get("per_site", "false"))))
+            elif key in _SETTINGS:
                 if len(args) != 1:
                     raise ScenarioError(f"{key} takes one value")
                 kw[key] = _SETTINGS[key](args[0])
@@ -322,42 +397,31 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "weights":
                 if len(args) != 4:
                     raise ScenarioError("weights takes kind wc wd wn")
-                kind = JobKind(args[0])
+                kind = _parse_kind(args[0])
                 kw["weights"][kind] = CostWeights(*(float(a) for a in args[1:]))
+                name = f"weights {kind.value}"
             elif key == "site":
-                kv = _parse_kv(args[1:], ("nodes", "power"))
+                kv = _parse_kv(args[1:], key)
                 add("sites", SiteDef(args[0], int(kv["nodes"]), float(kv["power"])))
             elif key == "site_template":
-                kv = _parse_kv(args, ("nodes", "power"), ("prefix",))
+                kv = _parse_kv(args, key)
                 kw["site_template"] = SiteDef(kv.get("prefix", "site"), int(kv["nodes"]),
                                               float(kv["power"]))
             elif key == "default_link":
-                kv = _parse_kv(args, ("bandwidth",), ("latency", "load"))
+                kv = _parse_kv(args, key)
                 kw["default_link"] = NetworkLink(
                     "*", "*", float(kv["bandwidth"]), float(kv.get("latency", "0")),
                     float(kv.get("load", "0")))
             elif key == "link":
                 if len(args) < 3:
                     raise ScenarioError("link takes two sites plus fields")
-                kv = _parse_kv(args[2:], ("bandwidth",), ("latency", "load"))
+                kv = _parse_kv(args[2:], key)
                 add("links", NetworkLink(
                     args[0], args[1], float(kv["bandwidth"]),
                     float(kv.get("latency", "0")), float(kv.get("load", "0"))))
             elif key == "user":
-                kv = _parse_kv(args[1:], ("quota",))
+                kv = _parse_kv(args[1:], key)
                 add("users", UserProfile(args[0], float(kv["quota"])))
-            elif key == "burst":
-                kv = _parse_kv(args, ("time", "user", "site", "count", "demand",
-                                      "procs", "data_site"), ("data", "kind", "per_site"))
-                user, site, data_site = kv["user"], kv["site"], kv["data_site"]
-                add("bursts", BurstDef(
-                    time=float(kv["time"]), user=ids.setdefault(user, user),
-                    site=ids.setdefault(site, site),
-                    count=int(kv["count"]), demand=_parse_demand(kv["demand"]),
-                    procs=int(kv["procs"]), data=float(kv.get("data", "0")),
-                    data_site=ids.setdefault(data_site, data_site),
-                    kind=JobKind(kv.get("kind", "mixed")),
-                    per_site=_parse_bool(kv.get("per_site", "false"))))
             elif key == "fault":
                 if len(args) != 3:
                     raise ScenarioError("fault takes action site time")
@@ -367,16 +431,20 @@ def parse_scenario(text: str) -> Scenario:
         except (ValueError, KeyError) as exc:  # ScenarioError included
             what = "" if isinstance(exc, ScenarioError) else f"invalid {key} entry: "
             raise ScenarioError(f"line {lineno}: {what}{exc}") from exc
-        lines[key] = lineno  # a setting's, or the site_template's
+        if key in _SETTINGS or key in _ONCE:
+            if name in given:
+                raise _at_lines(f"{name} given twice", [lineno, lines[name]])
+            if not preset:
+                given.add(name)
+            lines[name] = lineno
     try:
         return Scenario(**kw)
     except ScenarioError as exc:
         if not exc.about:  # a file without sites has no line to name
             raise
         # The last line is the offending one; a duplicate names its first.
-        *first, at = sorted(lines[a if isinstance(a, str) else id(a)] for a in exc.about)
-        raise ScenarioError(f"line {at}: {exc}" + "".join(
-            f" (first on line {n})" for n in first)) from exc
+        raise _at_lines(exc, [lines[a if isinstance(a, str) else id(a)]
+                              for a in exc.about]) from exc
 
 
 def _fmt(x) -> str:

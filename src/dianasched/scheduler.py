@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import JobSpec, Topology, UnreachableSiteError
+from .core import Job, Topology, UnreachableSiteError
 from .costs import (CostWeights, PRESET_WEIGHTS, REFERENCE_BANDWIDTH,
                     UNIT_WEIGHTS, total_cost)
 
@@ -54,14 +54,14 @@ class SchedulingDecision:
     alternatives: List[Tuple[str, float]]  # (site, total), best first
 
 
-def classify(job: JobSpec, overrides=None) -> CostWeights:
+def classify(job: Job, overrides=None) -> CostWeights:
     """Weights for the job's declared kind; the tag is authoritative."""
     if overrides and job.kind in overrides:
         return overrides[job.kind]
     return PRESET_WEIGHTS[job.kind]
 
 
-def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot], now: float,
+def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
              topology: Topology, b_ref: float = REFERENCE_BANDWIDTH,
              weight_overrides=None) -> SchedulingDecision:
     """Choose the minimum aggregate-cost site for a first-time job.
@@ -104,7 +104,7 @@ def schedule(job: JobSpec, local, peers: Sequence[PeerSnapshot], now: float,
         alternatives=[(site_id, total) for total, _, site_id in scored])
 
 
-def batch_cost(batch: Sequence[JobSpec], site, backlog: float,
+def batch_cost(batch: Sequence[Job], site, backlog: float,
                topology: Topology,
                b_ref: float = REFERENCE_BANDWIDTH) -> float:
     """Unweighted total cost of running the whole batch at one site."""
@@ -115,7 +115,7 @@ def batch_cost(batch: Sequence[JobSpec], site, backlog: float,
     return acc
 
 
-def migrate_batch(batch: Sequence[JobSpec], local,
+def migrate_batch(batch: Sequence[Job], local,
                   local_jobs_ahead: int, peers: Sequence[PeerSnapshot],
                   now: float, topology: Topology,
                   b_ref: float = REFERENCE_BANDWIDTH) -> Optional[str]:

@@ -3,8 +3,7 @@
 import heapq
 from dataclasses import dataclass
 
-from dianasched.core import (JobSpec, JobKind, UnreachableSiteError,
-                             UserProfile)
+from dianasched.core import Job, JobKind, UnreachableSiteError, UserProfile
 from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
                               transfer_cost)
 from dianasched.engine import EventKind, RunResult
@@ -12,10 +11,10 @@ from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
 
 
 def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
-           data_site="s1", submit=0.0, kind=JobKind.MIXED) -> JobSpec:
-    return JobSpec(job_id=job_id, user_id=user, compute_demand=demand,
-                   processors_required=procs, data_size=data,
-                   data_site=data_site, submit_time=submit, kind=kind)
+           data_site="s1", submit=0.0, kind=JobKind.MIXED) -> Job:
+    return Job(job_id=job_id, user_id=user, compute_demand=demand,
+               processors_required=procs, data_size=data,
+               data_site=data_site, submit_time=submit, kind=kind)
 
 
 @dataclass
@@ -71,7 +70,7 @@ def assert_busy_node_seconds_conserved(sim, result):
         elif kind is EventKind.COMPLETED:
             job_id, site_id = values
             assert allocated[job_id][0] == site_id
-            procs = result.jobs[job_id].spec.processors_required
+            procs = result.jobs[job_id].processors_required
             expect[site_id] += allocated[job_id][1] * procs
     assert {sid: site.busy_node_seconds
             for sid, site in sim.sites.items()} == expect
@@ -182,8 +181,8 @@ def reference_migrate_batch(batch, local, local_jobs_ahead, peers, now,
 def reference_run(sim):
     """Run `sim` with every submission on the heap; its RunResult."""
     sim._ran = True
-    for rec in sim.jobs.values():
-        sim._at(rec.spec.submit_time, sim._on_submit, rec)
+    for job in sim.jobs.values():
+        sim._at(job.submit_time, sim._on_submit, job)
     for fault in sim.scenario.faults:
         sim._at(fault.time, sim._on_fault, fault)
     if sim.jobs:

@@ -198,7 +198,7 @@ def test_ac6_bandwidth_sweep_on_p3():
                    and abs(fast - 80.0) / 80.0 <= 1e-6)
     # Transfer time is recoverable from the per-job records too.
     for rec in results[-1].records():
-        assert rec.started - rec.spec.submit_time - rec.queue_time == \
+        assert rec.started - rec.submit_time - rec.queue_time == \
             pytest.approx(rec.transfer_total)
     elapsed = time.monotonic() - started
     _report(6, decreasing and transfer_ok and elapsed < 30.0,

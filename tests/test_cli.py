@@ -119,8 +119,8 @@ class TestDiagnostics:
         assert err.count("\n") == 1
         assert err.startswith("error: line 6: ") and field in err
 
-    # Each rule that relates lines to each other, and each deleted
-    # setting, ends in exactly this line on stderr.
+    # Each rule that relates lines to each other, each deleted setting
+    # and each size ceiling ends in exactly this line on stderr.
     @pytest.mark.parametrize("lines,err", [
         ("site s1 nodes=1 power=1",
          "line 6: duplicate site id 's1' (first on line 1)"),
@@ -149,13 +149,32 @@ class TestDiagnostics:
         ("site s3 nodes=1 nodes=2 power=1", "line 6: field 'nodes' given twice"),
         ("echo_timeout nan", "line 6: unknown key 'echo_timeout'"),
         ("echo_timeout 5", "line 6: unknown key 'echo_timeout'"),
-        ("bands 0.5 0", "line 6: unknown key 'bands'")],
+        ("bands 0.5 0", "line 6: unknown key 'bands'"),
+        ("thrs 0.5\nthrs 0.7", "line 7: thrs given twice (first on line 6)"),
+        ("site_template prefix=a nodes=1 power=1\n"
+         "site_template prefix=b nodes=1 power=1",
+         "line 7: site_template given twice (first on line 6)"),
+        ("default_link bandwidth=10",
+         "line 6: default_link given twice (first on line 3)"),
+        ("weights mixed 1 1 1\nweights mixed 1 2 1",
+         "line 7: weights mixed given twice (first on line 6)"),
+        (BURST.replace("count=1", "count=100000000"),
+         "line 6: burst brings the workload to 100000006 jobs, "
+         "over the ceiling of 1000000"),
+        ("site_template prefix=t nodes=1 power=1\nsite_count 2000\n"
+         + BURST.replace("count=1", "count=500 per_site=true"),
+         "line 8: burst brings the workload to 1001006 jobs (500 x 2002 sites), "
+         "over the ceiling of 1000000"),
+        ("site_template prefix=t nodes=1 power=1\nsite_count 100000000",
+         "line 7: site_count must be in [0, 2000], got 100000000")],
         ids=["twin site", "template site", "stray site_count",
              "priority without diana", "twin link", "twin link reversed",
              "self link", "link site", "twin user", "burst user", "burst site",
              "burst data_site", "fault site", "twin field",
              "deleted echo_timeout nan", "deleted echo_timeout 5",
-             "deleted bands"])
+             "deleted bands", "twin setting", "twin site_template",
+             "twin default_link", "twin weights", "huge count",
+             "huge per_site count", "huge site_count"])
     def test_exact_diagnostic(self, tmp_path, capsys, lines, err):
         bad = tmp_path / "bad.txt"
         bad.write_text(SCENARIO.lstrip() + lines + "\n")

@@ -8,6 +8,9 @@ from conftest import mk_job
 
 
 class TestJobSpec:
+    """A Job's constructor checks its spec fields; that a run never
+    changes them is test_golden's test_run_writes_only_run_state."""
+
     def test_valid_job(self):
         job = mk_job(demand=3.0, procs=2, data=1e9)
         assert job.compute_demand == 3.0
@@ -24,11 +27,6 @@ class TestJobSpec:
     def test_rejects_negative_data(self):
         with pytest.raises(ValueError, match="data_size"):
             mk_job(data=-5.0)
-
-    def test_frozen(self):
-        job = mk_job()
-        with pytest.raises(AttributeError):
-            job.compute_demand = 99.0
 
 
 class TestNetworkLink:

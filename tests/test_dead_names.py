@@ -27,6 +27,9 @@ ROOTS = {
     # RunResult.trace, the dict view of a run's events: the README's
     # library section, the tests and bench/run.py's traced pass read it.
     "trace",
+    # Job.spec, the job itself: bench/run.py's outcome_digest reads
+    # `rec.spec.job_id`, written when the spec was a separate object.
+    "spec",
 }
 
 

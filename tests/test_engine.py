@@ -111,7 +111,7 @@ class TestTransfers:
                      users=[UserProfile("u1", 1.0)], bursts=bursts)
         hold, a, b = run_scenario(s, seed=1).records()
         assert hold.completed == pytest.approx(1000.0)
-        assert a.spec.submit_time < b.spec.submit_time
+        assert a.submit_time < b.submit_time
         assert b.started == pytest.approx(1000.0)
         assert a.started == pytest.approx(1001.0)
 
@@ -126,20 +126,21 @@ class TestTransfers:
 class TestWorkloadGeneration:
     def test_job_ids_sequential(self):
         s = one_site_scenario([burst(count=3), burst(time=5.0, count=2)])
-        ids = [j.job_id for j, _ in generate_workload(s, 0)]
+        ids = [j.job_id for j in generate_workload(s, 0).values()]
         assert ids == ["j00001", "j00002", "j00003", "j00004", "j00005"]
 
     def test_point_demand_is_exact(self):
         s = one_site_scenario([burst(count=2, demand=7.5)])
-        assert all(j.compute_demand == 7.5 for j, _ in generate_workload(s, 3))
+        assert all(j.compute_demand == 7.5
+                   for j in generate_workload(s, 3).values())
 
     def test_range_demand_seeded(self):
         s = one_site_scenario([BurstDef(
             time=0.0, user="u1", site="s1", count=5, demand=(5.0, 30.0),
             procs=1, data=0.0, data_site="s1", kind=JobKind.MIXED)])
-        a = [j.compute_demand for j, _ in generate_workload(s, 1)]
-        b = [j.compute_demand for j, _ in generate_workload(s, 1)]
-        c = [j.compute_demand for j, _ in generate_workload(s, 2)]
+        a = [j.compute_demand for j in generate_workload(s, 1).values()]
+        b = [j.compute_demand for j in generate_workload(s, 1).values()]
+        c = [j.compute_demand for j in generate_workload(s, 2).values()]
         assert a == b
         assert a != c
         assert all(5.0 <= d <= 30.0 for d in a)
@@ -155,10 +156,10 @@ class TestWorkloadGeneration:
         s = one_site_scenario([BurstDef(
             time=0.0, user="u1", site="s1", count=5, demand=(5.0, 30.0),
             procs=1, data=0.0, data_site="s1", kind=JobKind.MIXED)])
-        assert workload_hash(generate_workload(s, 1)) == \
-            workload_hash(generate_workload(s, 1))
-        assert workload_hash(generate_workload(s, 1)) != \
-            workload_hash(generate_workload(s, 2))
+        assert workload_hash(generate_workload(s, 1).values()) == \
+            workload_hash(generate_workload(s, 1).values())
+        assert workload_hash(generate_workload(s, 1).values()) != \
+            workload_hash(generate_workload(s, 2).values())
 
 
 class TestDeterminism:
@@ -175,9 +176,9 @@ class TestDeterminism:
         r1 = run_scenario(self._scenario(), seed=7)
         r2 = run_scenario(self._scenario(), seed=7)
         assert r1.summary() == r2.summary()
-        assert [(r.spec.job_id, r.started, r.completed, r.exec_site)
+        assert [(r.job_id, r.started, r.completed, r.exec_site)
                 for r in r1.records()] == \
-               [(r.spec.job_id, r.started, r.completed, r.exec_site)
+               [(r.job_id, r.started, r.completed, r.exec_site)
                 for r in r2.records()]
 
     def test_trace_is_reproducible(self):

@@ -10,7 +10,8 @@ Those bytes hold only finite numbers; a run that would reach an
 infinite time or total raises SimulationError instead (exit 2).  A run
 also gives the same jobs, summary and event log as the reference loop
 that puts every submission on the event heap.  A scenario drawn
-without a fault is never rejected.
+without a fault is never rejected, and one drawn with a bad record is
+never accepted.
 Likewise a sweep value must be rejected naming its axis, or give a
 scenario that passes the checks again when it is rebuilt.
 """
@@ -77,7 +78,11 @@ LONG = {"power": (0.5, 1e15), "bandwidth": (10.0, 1e300),
 UNUSABLE = {"power": "5e-324", "demand": "1e308"}
 
 # Records the parser must reject as a whole.
-RECORD_FAULTS = ("twin link", "self link", "stray site_count", "late preset")
+RECORD_FAULTS = ("twin link", "self link", "stray site_count", "late preset",
+                 "twin statement")
+
+# The statements a file gives at most once, besides the settings.
+ONCE = ("site_template", "site_count", "default_link", "weights")
 
 
 @st.composite
@@ -140,17 +145,17 @@ def scenario_text(draw):
         site = draw(st.sampled_from(sites))
         lines.append(f"link {site} {site} {link_fields()}")
     lines += [f"user {u} quota={pick(*QUOTA, 'quota')}" for u in users]
-    for _ in range(draw(st.integers(0, 2))):
+    for kind in draw(st.lists(st.sampled_from(KINDS), max_size=2, unique=True)):
         # All three weights 0 would be rejected: one of them is positive.
         positive = draw(st.integers(0, 2))
         weights = " ".join(pick(*POSITIVE_WEIGHT, "positive weight") if i == positive
                            else pick(*WEIGHT, "weight") for i in range(3))
-        lines.append(f"weights {pick(KINDS)} {weights}")
+        lines.append(f"weights {kind} {weights}")
     for _ in range(draw(st.integers(1, 4))):
         lines.append(
             f"burst time={pick(['0', '2.5', '7'], BAD_NUMBERS)}"
             f" user={pick(users)} site={pick(sites)}"
-            f" count={pick(['1', '2', '4'], ['0'])}"
+            f" count={pick(['1', '2', '4'], ['0', '100000000'])}"
             f" demand={pick(['0', '2', '1:6'], ['nan', '-1', '1:inf'], 'demand')}"
             f" procs={draw(st.integers(1, 3))}"
             f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'], 'data')}"
@@ -166,15 +171,21 @@ def scenario_text(draw):
     scheduler = draw(st.sampled_from(SETTINGS["scheduler"][0]))
     queues = SETTINGS["queue"][0] if scheduler == "diana" else ["fcfs", "sjf"]
     chosen = {"scheduler": [scheduler], "queue": [draw(st.sampled_from(queues))]}
-    keys = [draw(st.sampled_from(sorted(SETTINGS)))
-            for _ in range(draw(st.integers(0, 4)))]
-    if "scheduler" in keys and scheduler != "diana":
+    keys = draw(st.lists(st.sampled_from(sorted(SETTINGS)), max_size=4,
+                         unique=True))
+    if "scheduler" in keys and scheduler != "diana" and "queue" not in keys:
         keys.append("queue")
     for key in keys:
         good, bad = SETTINGS[key]
         if _SETTINGS[key] is float:
             bad = bad + BAD_NUMBERS
         lines.append(f"{key} {pick(chosen.get(key, good), bad)}")
+    if fault == "twin statement":
+        # A second line for a statement given once is rejected, even when
+        # it repeats the first.
+        once = [line for line in lines
+                if line.split()[0] in SETTINGS or line.split()[0] in ONCE]
+        lines += [draw(st.sampled_from(once))] if once else ["thrs 0.5"] * 2
     lines = draw(st.permutations(lines))
     if fault == "late preset":
         # A preset anywhere but first would discard the lines above it.
@@ -223,6 +234,8 @@ def _run(text):
 @example(case=("site s1 nodes=2 power=5e-324\nuser u1 quota=1\n"
                "burst time=0 user=u1 site=s1 count=1 demand=1e308 procs=1 "
                "data_site=s1\n", "unusable"))
+@example(case=("site s1 nodes=1 power=1\nthrs 0.5\nthrs 0.5\n",
+               "twin statement"))
 def test_scenario_text_is_rejected_or_runs_consistently(case):
     text, fault = case
     try:
@@ -234,6 +247,7 @@ def test_scenario_text_is_rejected_or_runs_consistently(case):
         line = re.fullmatch(r"line (\d+): [^\n]+", str(exc))
         assert line and 1 <= int(line[1]) <= len(text.splitlines()), str(exc)
         return
+    assert fault not in RECORD_FAULTS, f"{fault} accepted"
     assert all(l.from_site != l.to_site for l in scenario.links)
     assert parse_scenario(serialize_scenario(scenario)) == scenario
     assert _run(text) == _run(text)
@@ -275,7 +289,7 @@ burst time=0 user=u site=s1 count=2 demand=3 procs=1 data_site=s1
 """
 
 # Integer-looking values above this would expand the site template into
-# a large scenario; the sites axis checks nothing beyond >= 0.
+# a scenario of up to scenario.MAX_SITES sites, slowing the test down.
 MAX_SITES = 50
 
 

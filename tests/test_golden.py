@@ -16,13 +16,15 @@ import hashlib
 import json
 import pathlib
 import tempfile
+from operator import attrgetter
 
 import pytest
 
 from dianasched.baselines import QueueDiscipline
 from dianasched.cli import _load_scenario
-from dianasched.core import JobSpec
-from dianasched.engine import EVENT_FIELDS, JobRecord, Simulation, run_scenario
+from dianasched.core import Job
+from dianasched.engine import (EVENT_FIELDS, Simulation, generate_workload,
+                               run_scenario)
 from dianasched.report import apply_axis, write_run
 from dianasched.scenario import BurstDef, parse_scenario
 from conftest import assert_busy_node_seconds_conserved
@@ -193,14 +195,13 @@ def test_busy_node_seconds_conserved(name):
 
 
 def test_run_state_is_compact():
-    """Per-job records have no instance dict; the events sit in one flat
-    list, `t, kind, *values` each, with no tuple, list or dict per event."""
+    """Jobs have no instance dict; the events sit in one flat list,
+    `t, kind, *values` each, with no tuple, list or dict per event."""
     sim = Simulation(_case("P1:diana"), SEED)
     result = sim.run()
-    rec = next(iter(result.jobs.values()))
-    assert isinstance(rec, JobRecord) and isinstance(rec.spec, JobSpec)
-    assert not hasattr(rec, "__dict__")
-    assert not hasattr(rec.spec, "__dict__")
+    job = next(iter(result.jobs.values()))
+    assert type(job) is Job
+    assert not hasattr(job, "__dict__")
     assert result.log is sim.log and type(result.log) is list and result.log
     assert not any(isinstance(v, (tuple, list, dict)) for v in result.log)
     assert len(result.log) == sum(2 + len(EVENT_FIELDS[kind])
@@ -230,24 +231,65 @@ def test_expanded_jobs_share_one_str_per_id():
                      f"kind=compute_intensive")
     sim = Simulation(parse_scenario("\n".join(lines) + "\n"), SEED)
     records = list(sim.jobs.values())
-    for ids in ([r.spec.user_id for r in records],
-                [r.spec.data_site for r in records],
+    for ids in ([r.user_id for r in records],
+                [r.data_site for r in records],
                 [r.submit_site for r in records]):
         first = {}
         assert all(first.setdefault(i, i) is i for i in ids)
         assert len(first) > 1
 
 
-def test_run_keeps_jobs_only_in_their_records():
-    """After run(), only a job's JobRecord still refers to its JobSpec;
-    the (job, submit site) pairs the workload was expanded into are gone.
-    """
-    sim = Simulation(_case("P1:diana"), SEED)
-    result = sim.run()
-    specs = [rec.spec for rec in result.jobs.values()]
-    holders = [r for r in gc.get_referrers(*specs) if r is not specs]
-    assert len(holders) == len(specs)
-    assert all(type(r) is JobRecord for r in holders)
+# The fields a job is built with: its spec and its submit site.
+SPEC_FIELDS = attrgetter(*(f.name for f in dataclasses.fields(Job) if f.init))
+
+
+@pytest.mark.parametrize("name", ["P1:diana", "P2:diana/sjf", "P3:diana",
+                                  "file:faults.txt", "file:migration.txt"])
+def test_run_writes_only_run_state(name):
+    """After run(), every job's spec fields and submit site equal those
+    of a freshly generated workload for the same scenario and seed."""
+    scenario = _case(name)
+    result = run_scenario(scenario, SEED)
+    fresh = generate_workload(scenario, SEED)
+    assert list(result.jobs) == list(fresh)
+    assert ([SPEC_FIELDS(job) for job in result.jobs.values()]
+            == [SPEC_FIELDS(job) for job in fresh.values()])
+
+
+def test_each_job_is_one_object():
+    """After run(), each job is one object, held only by `result.jobs`
+    and, while still in flight, by its site's queue, its site's parked
+    list or an event on the heap; no per-job tuple or second object of
+    the workload is left.  The run is cut short by `duration_cap` with
+    jobs queued, in transit, running and parked."""
+    text = ("site s1 nodes=1 power=1.0\nsite s2 nodes=1 power=1.0\n"
+            "default_link bandwidth=100\nuser u quota=1\nduration_cap 50\n"
+            "burst time=0 user=u site=s1 count=6 demand=40 procs=1 "
+            "data=1e9 data_site=s1\n"
+            "burst time=20 user=u site=s2 count=2 demand=5 procs=1 "
+            "data_site=s2\n"
+            "fault crash s2 10\n")
+    for sim in (Simulation(_case("P1:diana"), SEED),
+                Simulation(parse_scenario(text), SEED)):
+        result = sim.run()
+        assert result.jobs is sim.jobs
+        in_flight = {"heap": [args for *_, args in sim._heap]}
+        for sid, site in sim.sites.items():
+            in_flight[f"{sid} queue"] = [site.queue.jobs,
+                                         *site.queue._classes.values()]
+            in_flight[f"{sid} parked"] = [site.parked]
+        holder_of = {id(c): where for where, held in in_flight.items()
+                     for c in held}
+        jobs = list(result.jobs.values())
+        holders = [r for r in gc.get_referrers(*jobs) if r is not jobs]
+        assert sum(r is result.jobs for r in holders) == 1
+        rest = [r for r in holders if r is not result.jobs]
+        assert all(id(r) in holder_of for r in rest), rest
+        seen = {holder_of[id(r)] for r in rest}
+        if sim.scenario.duration_cap:
+            assert seen == {"heap", "s1 queue", "s2 parked"}
+        else:
+            assert not seen
 
 
 if __name__ == "__main__":

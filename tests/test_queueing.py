@@ -196,11 +196,25 @@ class TestDisciplines:
         q.remove("wide")
         assert [j.job_id for j in q.ordered()] == ["late", "early"]
 
+    @pytest.mark.parametrize("discipline", [QueueDiscipline.SJF,
+                                            QueueDiscipline.PRIORITY_MULTIQUEUE])
+    def test_same_time_jobs_of_a_class_break_ties_on_the_id_as_text(
+            self, discipline):
+        # Generated ids are j plus the declaration index, padded to five
+        # digits, so past 99,999 jobs the text order is not declaration
+        # order: j100000 is served before j99999.
+        q = MultilevelQueue(mk_users(u1=1.0), discipline=discipline)
+        q.enqueue(mk_job(job_id="j99999"))
+        q.enqueue(mk_job(job_id="j100000"))
+        assert [j.job_id for j in q.ordered()] == ["j100000", "j99999"]
+        assert q.ordered(1)[0].job_id == "j100000"
+
     def test_sjf_serves_sjf_order(self):
         q = MultilevelQueue(mk_users(u1=1.0), discipline=QueueDiscipline.SJF)
-        for job in self._jobs():
+        jobs = self._jobs()
+        for job in jobs:
             q.enqueue(job)
-        assert q.ordered() == sjf_order(self._jobs())
+        assert q.ordered() == sjf_order(jobs)
         assert [j.job_id for j in q.ordered()] == ["early", "late", "wide"]
 
 

@@ -3,20 +3,21 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
-from dianasched.core import JobKind
+from dianasched.core import JobKind, UserProfile
 from dianasched.costs import CostWeights
 from dianasched.engine import Simulation
 from dianasched.presets import PRESETS
 from dianasched.report import run_sweep
-from dianasched.scenario import (_SETTINGS, BurstDef, FaultDef, Scenario,
-                                 ScenarioError, SiteDef, parse_scenario,
-                                 serialize_scenario)
+from dianasched.scenario import (_SETTINGS, MAX_JOBS, MAX_SITES, BurstDef,
+                                 FaultDef, Scenario, ScenarioError, SiteDef,
+                                 parse_scenario, serialize_scenario)
 
 FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario-format.md"
 PRESET_NAMES = ("P1", "P2", "P3", "P4")
@@ -100,7 +101,7 @@ class TestParsing:
         # the Scenario is constructed, so no count is ever asked of them.
         refused = {((), None, 0): "^scenario defines no sites$",
                    ((), "t", 0): "^scenario defines no sites$",
-                   (("a",), "t", -2): "^site_count must be >= 0, got -2$",
+                   (("a",), "t", -2): r"^site_count must be in \[0, 2000\], got -2$",
                    (("a",), None, 4): "^site_count needs a site_template$"}
         kw = dict(sites=[SiteDef(sid, 1, 1.0) for sid in sites],
                   site_template=SiteDef(template, 1, 1.0) if template else None,
@@ -133,6 +134,38 @@ class TestParsing:
     def test_field_given_twice_rejected(self, text, message):
         with pytest.raises(ScenarioError, match=f"^{message}$"):
             parse_scenario(text)
+
+    # A statement given once per file would keep its last value.
+    @pytest.mark.parametrize("text,message", [
+        ("thrs 0.5\n" + MINIMAL + "thrs 0.7\n",
+         r"line 6: thrs given twice \(first on line 1\)"),
+        ("thrs 0.5\nthrs 0.5\n" + MINIMAL,
+         r"line 2: thrs given twice \(first on line 1\)"),
+        ("site_template prefix=a nodes=1 power=1\n"
+         "site_template prefix=b nodes=1 power=1\n" + MINIMAL,
+         r"line 2: site_template given twice \(first on line 1\)"),
+        (MINIMAL + "default_link bandwidth=10\ndefault_link bandwidth=100\n",
+         r"line 6: default_link given twice \(first on line 5\)"),
+        (MINIMAL + "weights mixed 1 1 1\nweights mixed 2 1 1\n",
+         r"line 6: weights mixed given twice \(first on line 5\)"),
+        # A preset's statement may be overridden once.
+        ("preset P2\nthrs 0.5\nthrs 0.7\n",
+         r"line 3: thrs given twice \(first on line 2\)")],
+        ids=["setting", "same value", "site_template", "default_link",
+             "weights", "after preset"])
+    def test_statement_given_twice_rejected(self, text, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario(text)
+
+    def test_statements_given_once_each(self):
+        s = parse_scenario(MINIMAL + "weights mixed 1 1 1\n"
+                           "weights data_intensive 2 1 1\nthrs 0.5\n")
+        assert set(s.weights) == {JobKind.MIXED, JobKind.DATA_INTENSIVE}
+
+    def test_a_line_after_a_preset_overrides_it(self):
+        assert parse_scenario("preset P2\n").thrs == 1.0
+        s = parse_scenario("preset P2\nthrs 0.5\nscheduler diana\n")
+        assert s.thrs == 0.5
 
     def test_preset_after_a_statement_rejected(self):
         # It would silently discard every statement before it.
@@ -291,6 +324,44 @@ class TestValidation:
         with pytest.raises(ScenarioError,
                            match=f"^line 2: unknown key '{key}'$"):
             parse_scenario("# header\n" + line + "\n" + MINIMAL)
+
+    @pytest.mark.parametrize("text,message", [
+        (MINIMAL.replace("count=1", f"count={MAX_JOBS + 1}"),
+         f"line 4: burst brings the workload to {MAX_JOBS + 1} jobs, "
+         f"over the ceiling of {MAX_JOBS}"),
+        (MINIMAL + MINIMAL.splitlines()[3].replace("count=1", f"count={MAX_JOBS}"),
+         f"line 5: burst brings the workload to {MAX_JOBS + 1} jobs, "
+         f"over the ceiling of {MAX_JOBS}"),
+        ("site_template prefix=t nodes=1 power=1\nsite_count 1000\n"
+         + MINIMAL.replace("procs=1", "procs=1 per_site=true")
+         .replace("count=1", "count=1000"),
+         r"line 6: burst brings the workload to 1001000 jobs \(1000 x 1001 "
+         rf"sites\), over the ceiling of {MAX_JOBS}"),
+        ("site_template prefix=t nodes=1 power=1\nsite_count 100000000\n" + MINIMAL,
+         rf"line 2: site_count must be in \[0, {MAX_SITES}\], got 100000000")],
+        ids=["count", "sum", "per_site", "site_count"])
+    def test_size_over_the_ceiling_rejected_before_expansion(self, text,
+                                                             message):
+        # Counted by arithmetic: no job is built, so the check allocates
+        # under a megabyte where the jobs would take hundreds.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=f"^{message}$"):
+                parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_size_at_the_ceiling_accepted(self):
+        s = Scenario(sites=[SiteDef("s1", 1, 1.0)], users=[UserProfile("u", 1.0)],
+                     bursts=[BurstDef(0.0, "u", "s1", MAX_JOBS, 1.0, 1, 0.0, "s1",
+                                      JobKind.MIXED)])
+        with pytest.raises(ScenarioError, match="over the ceiling"):
+            dataclasses.replace(s, bursts=s.bursts * 2)
+        s = Scenario(sites=[SiteDef("s1", 1, 1.0)],
+                     site_template=SiteDef("t", 1, 1.0), site_count=MAX_SITES - 1)
+        assert s.resolved_site_count() == MAX_SITES
 
     def test_site_count_needs_a_template(self):
         with pytest.raises(ScenarioError,
