@@ -3,7 +3,8 @@
 Computation cost, data-transfer cost and a bandwidth-normalized network
 cost, combined into a weighted aggregate.  All formulas are deliberately
 minimal and isolated here so alternates can be swapped without touching
-the schedulers.
+the schedulers.  Reachability is not decided here: each cost takes the
+link that `Topology.link_between` returned.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Job, JobKind, NetworkLink, UnreachableSiteError
+from .core import Job, JobKind, NetworkLink
 
 EPSILON = 1e-9  # guards the cold-start division before any job completes
 REFERENCE_BANDWIDTH = 1000.0  # Mbps
@@ -42,13 +43,13 @@ PRESET_WEIGHTS = {
 UNIT_WEIGHTS = CostWeights(1.0, 1.0, 1.0)
 
 
-def transfer_cost(job: Job, source: str, dest: str,
-                  link: Optional[NetworkLink]) -> float:
-    """Seconds to move the job's input data from `source` to `dest`."""
-    if source == dest:
-        return 0.0
-    if link is None:
-        raise UnreachableSiteError(f"no link between {source} and {dest}")
+def transfer_cost(job: Job, link: NetworkLink) -> float:
+    """Seconds to move the job's input data over `link`.
+
+    The link comes from `Topology.link_between`, which alone decides
+    whether two sites are the same (no link, nothing to move) or cannot
+    reach each other.
+    """
     bits = job.data_size * 8.0
     return link.latency + bits / (link.available * 1e6)
 
@@ -79,6 +80,6 @@ def total_cost(job: Job, site, backlog: float,
     if link is None:
         d = n = 0.0
     else:
-        d = transfer_cost(job, job.data_site, site.site_id, link)
+        d = transfer_cost(job, link)
         n = b_ref / link.available
     return weights.w_c * c + weights.w_d * d + weights.w_n * n

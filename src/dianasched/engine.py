@@ -66,7 +66,7 @@ class EventKind(str, Enum):
 # The field names of each kind, in the order `Simulation._trace` takes
 # their values.  A failed_unreachable event carries `dest` only when the
 # job's data could not be staged to its chosen site; when no site was
-# reachable at all the log holds None there, which `RunResult.events`
+# reachable at all the log holds None there, which `RunResult.trace`
 # drops.
 EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
     EventKind.SUBMIT: ("job", "site"),
@@ -179,31 +179,25 @@ class RunResult:
     workload_hash: str
 
     @property
-    def events(self) -> List[tuple]:
-        """The events as `(t, kind, *values)` tuples, with `kind` an
-        `EventKind`.  Decoded from the flat log anew on each read.
+    def trace(self) -> List[dict]:
+        """The events as dicts: `t`, `kind` (a plain str), then the
+        kind's fields.  Decoded from the flat log anew on each read; see
+        docs/trace-format.md.
         """
         out = []
         log = self.log
         i = 0
         while i < len(log):
-            end = i + 2 + len(EVENT_FIELDS[log[i + 1]])
+            kind = log[i + 1]
+            names = EVENT_FIELDS[kind]
+            end = i + 2 + len(names)
+            entry = {"t": log[i], "kind": kind.value}
+            entry.update(zip(names, log[i + 2:end]))
             # Only a failed_unreachable without a dest ends in None.
-            out.append(tuple(log[i:end - 1] if log[end - 1] is None
-                             else log[i:end]))
-            i = end
-        return out
-
-    @property
-    def trace(self) -> List[dict]:
-        """The events as dicts: `t`, `kind` (a plain str), then the
-        kind's fields.  Built anew on each read; see docs/trace-format.md.
-        """
-        out = []
-        for t, kind, *values in self.events:
-            entry = {"t": t, "kind": kind.value}
-            entry.update(zip(EVENT_FIELDS[kind], values))
+            if log[end - 1] is None:
+                del entry[names[-1]]
             out.append(entry)
+            i = end
         return out
 
     def records(self) -> List[Job]:
@@ -411,7 +405,7 @@ class Simulation:
             except UnreachableSiteError:
                 self._terminal(job, JobStatus.FAILED_UNREACHABLE, dest)
                 return
-            delay = transfer_cost(job, job.data_site, dest, link)
+            delay = transfer_cost(job, link)
             job.transfer_total += delay
         self._trace(EventKind.MIGRATE if migration else EventKind.PLACE,
                     job.job_id, dest, delay)
@@ -530,8 +524,7 @@ class Simulation:
     def _check_congestion(self, site: SiteRuntime) -> None:
         # Only the priority discipline exports; it implies the diana
         # scheduler, which Scenario checks when it is constructed.
-        if (self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE
-                or not self.scenario.migration_enabled):
+        if self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE:
             return
         ratio = congestion_ratio(site.arr_est.value, site.service_rate)
         if not is_congested(ratio, self.scenario.thrs) or not len(site.queue):

@@ -192,4 +192,6 @@ def congestion_ratio(arrival_rate: float, service_rate: float) -> float:
 
 
 def is_congested(ratio: float, thrs: float) -> bool:
+    """Strictly above the threshold.  The ratio never exceeds 1, so a
+    `thrs` of 1 turns export off."""
     return ratio > thrs

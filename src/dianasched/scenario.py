@@ -40,8 +40,12 @@ class ScenarioError(ValueError):
 
 
 def _check_non_negative(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
+    """Raise ValueError unless `value` is finite and >= 0.
+
+    A negative zero is refused too: it would print as `-0` in jobs.csv
+    and hash unlike 0, though it compares equal to it.
+    """
+    if not (math.isfinite(value) and math.copysign(1.0, value) > 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -116,10 +120,10 @@ MAX_SITES = 2_000
 class Scenario:
     """A whole scenario, checked once when it is built.
 
-    Each field whose default is a bool, an enum, an int or a float is a
-    scalar setting, declared here once: its value must have the
-    default's type, by which the parser converts its text, and
-    serialize_scenario writes it.  A setting with a range also has a
+    Each field whose default is an enum, an int or a float is a scalar
+    setting, declared here once: its value must have the default's
+    type, by which the parser converts its text, and serialize_scenario
+    writes it.  A setting with a range also has a
     _SETTING_RANGES entry, and every setting has a row in
     docs/scenario-format.md's table.  The instance is frozen, its
     record lists are tuples and its weights a read-only mapping, so a
@@ -135,7 +139,6 @@ class Scenario:
     thrs: float = 0.3  # congestion threshold, administrator-configurable
     batch_size: int = 10
     migration_cutoff: float = 0.0  # only jobs with priority < cutoff migrate
-    migration_enabled: bool = True
     poll_interval: float = 30.0
     echo_interval: float = 60.0
     echo_retries: int = 1
@@ -250,9 +253,9 @@ _SETTING_RANGES = {
 
 def _check_setting(key: str, value) -> None:
     """Raise ScenarioError unless `value` has its setting's type (an int
-    passes as a float; a bool is no number) and is in its range."""
-    kind = _SETTING_TYPES[key]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(
+    passes as a float, a bool as none) and is in its range."""
+    kind = _SETTINGS[key]
+    if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         raise ScenarioError(f"{key} must be of type {kind.__name__}, got {value!r}", key)
     if key in _SETTING_RANGES:
@@ -262,12 +265,10 @@ def _check_setting(key: str, value) -> None:
 
 
 # Each scalar setting, by name, with its default's type, which its value
-# must have, and the converter that type gives its text: a boolean
-# spelling, an enum value, an int or a float.
-_SETTING_TYPES = {f.name: type(f.default) for f in fields(Scenario)
-                  if isinstance(f.default, (int, float, Enum))}
-_SETTINGS = {key: _parse_bool if kind is bool else kind
-             for key, kind in _SETTING_TYPES.items()}
+# must have and which converts its text: an enum value, an int or a
+# float.
+_SETTINGS = {f.name: type(f.default) for f in fields(Scenario)
+             if isinstance(f.default, (int, float, Enum))}
 
 
 # The fields of each statement written as key=value pairs: the required
@@ -449,8 +450,6 @@ def parse_scenario(text: str) -> Scenario:
 
 def _fmt(x) -> str:
     """The shortest text that parses back to exactly `x`."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, Enum):
         return x.value
     return repr(x)

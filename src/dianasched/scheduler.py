@@ -71,7 +71,8 @@ def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
     aged to `now` plus the jobs sent there since the poll; `peers` may
     come in any order.  Ties break by (lower total, fewer queued jobs,
     lexical site id).  Raises UnschedulableError when no candidate owns
-    enough nodes even when idle.
+    enough nodes even when idle, and the UnreachableSiteError of the last
+    `link_between` that failed when the data reaches none that does.
     """
     weights = classify(job, weight_overrides)
     need = job.processors_required
@@ -87,7 +88,8 @@ def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
                    else cand.as_of(now) + cand.sent_since)
         try:
             link = link_between(data_site, cand.site_id)
-        except UnreachableSiteError:
+        except UnreachableSiteError as exc:
+            unreachable = exc
             continue
         scored.append((total_cost(job, cand, backlog, link, weights, b_ref),
                        backlog, cand.site_id))
@@ -96,8 +98,8 @@ def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
             f"job {job.job_id} needs {need} processors; "
             f"no site is large enough")
     if not scored:
-        raise UnreachableSiteError(
-            f"job {job.job_id}: data at {data_site} cannot reach any site")
+        # Some candidate was feasible, so `link_between` said why.
+        raise unreachable
     scored.sort()  # site ids are unique, so no comparison goes further
     return SchedulingDecision(
         chosen_site=scored[0][2],

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from dianasched.core import Job, JobKind, UnreachableSiteError, UserProfile
 from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
                               transfer_cost)
-from dianasched.engine import EventKind, RunResult
+from dianasched.engine import RunResult
 from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
 
 
@@ -63,15 +63,14 @@ def assert_busy_node_seconds_conserved(sim, result):
     """
     allocated = {}  # job id -> (site id, duration)
     expect = dict.fromkeys(sim.sites, 0.0)
-    for _, kind, *values in result.events:
-        if kind is EventKind.ALLOCATE:
-            job_id, site_id, duration = values
-            allocated[job_id] = site_id, duration
-        elif kind is EventKind.COMPLETED:
-            job_id, site_id = values
-            assert allocated[job_id][0] == site_id
-            procs = result.jobs[job_id].processors_required
-            expect[site_id] += allocated[job_id][1] * procs
+    for event in result.trace:
+        if event["kind"] == "allocate":
+            allocated[event["job"]] = event["site"], event["duration"]
+        elif event["kind"] == "completed":
+            site_id, duration = allocated[event["job"]]
+            assert event["site"] == site_id
+            procs = result.jobs[event["job"]].processors_required
+            expect[site_id] += duration * procs
     assert {sid: site.busy_node_seconds
             for sid, site in sim.sites.items()} == expect
 
@@ -90,6 +89,13 @@ def compute_cost(job, site):
     return service + delay
 
 
+def data_cost(job, link):
+    """Staging time of the job's data over `link`; 0 for intra-site."""
+    if link is None:
+        return 0.0
+    return transfer_cost(job, link)
+
+
 def network_cost(link, b_ref=REFERENCE_BANDWIDTH):
     """Reference bandwidth over available bandwidth; 0 for intra-site."""
     if link is None:
@@ -99,7 +105,7 @@ def network_cost(link, b_ref=REFERENCE_BANDWIDTH):
 
 def reference_total_cost(job, site, link, weights, b_ref=REFERENCE_BANDWIDTH):
     c = compute_cost(job, site)
-    d = transfer_cost(job, job.data_site, site.site_id, link)
+    d = data_cost(job, link)
     n = network_cost(link, b_ref)
     return weights.w_c * c + weights.w_d * d + weights.w_n * n
 

@@ -97,10 +97,11 @@ def test_ac2_reprioritization_oracle():
     _report(2, elapsed < 30.0, f"1000 sequences in {elapsed:.1f}s")
 
 
-def _congestion_scenario(migration_enabled):
+def _congestion_scenario(thrs=0.3):
     # Site 1: one node serving 10 s jobs (0.2 jobs/s arriving vs 0.1
     # served, ratio 0.5 > thrs 0.3); site 2 idle.  The heavy user owns
-    # three quarters of the jobs on a quarter of the quota.
+    # three quarters of the jobs on a quarter of the quota.  A ratio
+    # never exceeds 1, so thrs 1 turns export off.
     bursts = []
     for i in range(30):
         t = 5.0 * i
@@ -113,14 +114,13 @@ def _congestion_scenario(migration_enabled):
     return Scenario(sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 5, 1.0)],
                     default_link=NetworkLink("*", "*", 100.0),
                     users=[UserProfile("alice", 1.0), UserProfile("bob", 3.0)],
-                    bursts=bursts, thrs=0.3,
-                    migration_enabled=migration_enabled)
+                    bursts=bursts, thrs=thrs)
 
 
 def test_ac3_congestion_migration_efficacy():
     started = time.monotonic()
-    with_migration = _track(run_scenario(_congestion_scenario(True), seed=7))
-    without = _track(run_scenario(_congestion_scenario(False), seed=7))
+    with_migration = _track(run_scenario(_congestion_scenario(), seed=7))
+    without = _track(run_scenario(_congestion_scenario(thrs=1.0), seed=7))
     ratio = (with_migration.summary()["mean_queue_time"]
              / without.summary()["mean_queue_time"])
     picks = [e for e in with_migration.trace if e["kind"] == "migration_pick"]

@@ -78,6 +78,18 @@ class TestDiagnostics:
          "demand"),
         ("burst time=0 user=u site=s1 count=1 demand=2 procs=1 data=-1 "
          "data_site=s1", "data"),
+        # A negative zero would print as -0 and hash unlike 0.
+        ("burst time=-0 user=u site=s1 count=1 demand=2 procs=1 data_site=s1",
+         "time"),
+        ("burst time=0 user=u site=s1 count=1 demand=-0 procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=-0:2 procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=0:-0 procs=1 data_site=s1",
+         "demand"),
+        ("burst time=0 user=u site=s1 count=1 demand=2 procs=1 data=-0 "
+         "data_site=s1", "data"),
+        ("fault crash s2 -0", "time"),
         ("fault crash s2 -1", "time"),
         ("fault crash s2 nan", "time"),
         ("fault register s2 inf", "time"),
@@ -150,6 +162,8 @@ class TestDiagnostics:
         ("echo_timeout nan", "line 6: unknown key 'echo_timeout'"),
         ("echo_timeout 5", "line 6: unknown key 'echo_timeout'"),
         ("bands 0.5 0", "line 6: unknown key 'bands'"),
+        ("migration_enabled false",
+         "line 6: unknown key 'migration_enabled'"),
         ("thrs 0.5\nthrs 0.7", "line 7: thrs given twice (first on line 6)"),
         ("site_template prefix=a nodes=1 power=1\n"
          "site_template prefix=b nodes=1 power=1",
@@ -172,9 +186,9 @@ class TestDiagnostics:
              "self link", "link site", "twin user", "burst user", "burst site",
              "burst data_site", "fault site", "twin field",
              "deleted echo_timeout nan", "deleted echo_timeout 5",
-             "deleted bands", "twin setting", "twin site_template",
-             "twin default_link", "twin weights", "huge count",
-             "huge per_site count", "huge site_count"])
+             "deleted bands", "deleted migration_enabled", "twin setting",
+             "twin site_template", "twin default_link", "twin weights",
+             "huge count", "huge per_site count", "huge site_count"])
     def test_exact_diagnostic(self, tmp_path, capsys, lines, err):
         bad = tmp_path / "bad.txt"
         bad.write_text(SCENARIO.lstrip() + lines + "\n")

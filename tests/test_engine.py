@@ -280,25 +280,28 @@ class TestTrace:
     @pytest.mark.parametrize("scheduler,failed,poll", [
         # No reachable candidate: the log holds None for the dest, which
         # the view drops.
-        (SchedulerKind.DIANA, ["j00001"], [[0.0, EventKind.POLL, "s1", 1]]),
+        (SchedulerKind.DIANA, ["j00001", None],
+         [[0.0, EventKind.POLL, "s1", 1]]),
         (SchedulerKind.ROUND_ROBIN, ["j00001", "s2"], [])])
     def test_events_decode_the_flat_log(self, scheduler, failed, poll):
         result = run_scenario(self._unlinked(scheduler), seed=0)
-        decoded = [[0.0, EventKind.SUBMIT, "j00001", "s1"], *poll,
-                   [0.0, EventKind.FAILED_UNREACHABLE, *failed],
-                   [1.0, EventKind.SUBMIT, "j00002", "s1"],
-                   [1.0, EventKind.REJECTED_UNSCHEDULABLE, "j00002"]]
-        assert result.events == [tuple(e) for e in decoded]
-        assert len(result.log) == sum(2 + len(EVENT_FIELDS[e[1]])
-                                      for e in decoded)
+        stored = [[0.0, EventKind.SUBMIT, "j00001", "s1"], *poll,
+                  [0.0, EventKind.FAILED_UNREACHABLE, *failed],
+                  [1.0, EventKind.SUBMIT, "j00002", "s1"],
+                  [1.0, EventKind.REJECTED_UNSCHEDULABLE, "j00002"]]
+        assert result.log == [v for e in stored for v in e]
+        assert result.trace == [
+            {"t": t, "kind": kind.value,
+             **{k: v for k, v in zip(EVENT_FIELDS[kind], values)
+                if v is not None}}
+            for t, kind, *values in stored]
 
     def test_view_is_rebuilt_from_the_stored_events(self):
         result = run_scenario(self._unlinked(SchedulerKind.DIANA), seed=0)
         first = result.trace
         first[0]["kind"] = "edited"
         assert result.trace[0]["kind"] == "submit"
-        assert [(e["t"], e["kind"]) for e in result.trace] == \
-            [(t, kind.value) for t, kind, *_ in result.events]
+        assert result.trace[1:] == first[1:]
 
     def test_docs_list_every_kind_with_its_fields(self):
         rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", self.TRACE_DOC.read_text(),
@@ -318,9 +321,8 @@ class TestSubmissionStream:
                               faults=[FaultDef("crash", "s1", 1.0)])
         sim = Simulation(s, seed=0)
         result = sim.run()
-        kinds = [kind for _, kind, *_ in result.events
-                 if kind is not EventKind.POLL]
-        assert kinds[:3] == [EventKind.SUBMIT, EventKind.PLACE, EventKind.CRASH]
+        kinds = [e["kind"] for e in result.trace if e["kind"] != "poll"]
+        assert kinds[:3] == ["submit", "place", "crash"]
         site = sim.sites["s1"]
         assert site.parked == []
         assert list(site.queue.jobs) == ["j00001"]  # arrived after the crash
@@ -328,11 +330,9 @@ class TestSubmissionStream:
     def test_submission_runs_before_a_completion_at_its_time(self):
         s = one_site_scenario([burst(demand=3.0), burst(time=3.0)])
         result = run_scenario(s, seed=0)
-        at_three = [(kind, values[0]) for t, kind, *values in result.events
-                    if t == 3.0 and kind in (EventKind.SUBMIT,
-                                             EventKind.COMPLETED)]
-        assert at_three == [(EventKind.SUBMIT, "j00002"),
-                            (EventKind.COMPLETED, "j00001")]
+        at_three = [(e["kind"], e["job"]) for e in result.trace
+                    if e["t"] == 3.0 and e["kind"] in ("submit", "completed")]
+        assert at_three == [("submit", "j00002"), ("completed", "j00001")]
 
     def test_cap_between_bursts_leaves_later_jobs_pending(self):
         s = one_site_scenario([burst(count=2), burst(time=50.0, count=2)],
@@ -341,8 +341,8 @@ class TestSubmissionStream:
         assert [r.status for r in result.records()] == [
             JobStatus.COMPLETED, JobStatus.COMPLETED,
             JobStatus.PENDING, JobStatus.PENDING]
-        assert [values[0] for _, kind, *values in result.events
-                if kind is EventKind.SUBMIT] == ["j00001", "j00002"]
+        assert [e["job"] for e in result.trace
+                if e["kind"] == "submit"] == ["j00001", "j00002"]
 
 
 class TestRateEstimators:
@@ -391,11 +391,18 @@ class TestMigrationGate:
     def test_only_the_priority_queue_exports(self):
         # The congested scenario of AC3 exports under the priority queue
         # but never under FCFS, even though the diana scheduler runs both.
-        exported = run_scenario(_congestion_scenario(True), seed=7)
+        exported = run_scenario(_congestion_scenario(), seed=7)
         assert any(e["kind"] == "migration_pick" for e in exported.trace)
-        fcfs = dataclasses.replace(_congestion_scenario(True),
+        fcfs = dataclasses.replace(_congestion_scenario(),
                                    queue=QueueDiscipline.FCFS)
         result = run_scenario(fcfs, seed=7)
+        assert not any(e["kind"].startswith("migrat") for e in result.trace)
+        assert all(r.migrations == 0 for r in result.records())
+
+    def test_thrs_one_turns_export_off(self):
+        # The ratio (a - s) / a never exceeds 1 and the test is strict, so
+        # the congested site of AC3 keeps every job under thrs 1.
+        result = run_scenario(_congestion_scenario(thrs=1.0), seed=7)
         assert not any(e["kind"].startswith("migrat") for e in result.trace)
         assert all(r.migrations == 0 for r in result.records())
 
@@ -479,7 +486,7 @@ class TestSiteRecord:
         # The cost model reads SiteRuntime.backlog for the local site, and
         # polls report it for peers; check it after every event of a run
         # that queues, allocates and exports.
-        sim = Simulation(_congestion_scenario(True), seed=7)
+        sim = Simulation(_congestion_scenario(), seed=7)
         backlogs = []
 
         def checked(fn):

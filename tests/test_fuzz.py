@@ -43,7 +43,6 @@ SETTINGS = {
     "thrs": (["0", "0.3", "1"], ["1.5"]),
     "batch_size": (["1", "3"], ["0"]),
     "migration_cutoff": (["0", "0.5", "-1"], []),
-    "migration_enabled": (["true", "no"], ["flase"]),
     "poll_interval": (["1", "5", "30"], ["0"]),
     "echo_interval": (["10", "60"], ["0"]),
     "echo_retries": (["1", "2"], ["0"]),
@@ -160,7 +159,7 @@ def scenario_text(draw):
             f" procs={draw(st.integers(1, 3))}"
             f" data={pick(['0', '1e6', '2e9'], ['-1', 'nan'], 'data')}"
             f" data_site={pick(sites)} kind={pick(KINDS)}"
-            f" per_site={pick(['false', 'true'])}")
+            f" per_site={pick(['false', 'true'], ['flase'])}")
     for _ in range(draw(st.integers(0, 2))):
         # A fault at 7 shares its time with a burst's submissions.
         lines.append(f"fault {pick(['crash', 'register', 'deregister'], ['explode'])}"
@@ -236,6 +235,15 @@ def _run(text):
                "data_site=s1\n", "unusable"))
 @example(case=("site s1 nodes=1 power=1\nthrs 0.5\nthrs 0.5\n",
                "twin statement"))
+# Each record fault lands in few drawn examples, so each has one here.
+@example(case=("site s1 nodes=1 power=1\nsite s2 nodes=1 power=1\n"
+               "link s1 s2 bandwidth=10\nlink s2 s1 bandwidth=10\n",
+               "twin link"))
+@example(case=("site s1 nodes=1 power=1\nlink s1 s1 bandwidth=10\n",
+               "self link"))
+@example(case=("site s1 nodes=1 power=1\nsite_count 1\n",
+               "stray site_count"))
+@example(case=("site s1 nodes=1 power=1\npreset P2\n", "late preset"))
 def test_scenario_text_is_rejected_or_runs_consistently(case):
     text, fault = case
     try:

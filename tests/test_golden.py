@@ -23,8 +23,8 @@ import pytest
 from dianasched.baselines import QueueDiscipline
 from dianasched.cli import _load_scenario
 from dianasched.core import Job
-from dianasched.engine import (EVENT_FIELDS, Simulation, generate_workload,
-                               run_scenario)
+from dianasched.engine import (EVENT_FIELDS, EventKind, Simulation,
+                               generate_workload, run_scenario)
 from dianasched.report import apply_axis, write_run
 from dianasched.scenario import BurstDef, parse_scenario
 from conftest import assert_busy_node_seconds_conserved
@@ -204,8 +204,8 @@ def test_run_state_is_compact():
     assert not hasattr(job, "__dict__")
     assert result.log is sim.log and type(result.log) is list and result.log
     assert not any(isinstance(v, (tuple, list, dict)) for v in result.log)
-    assert len(result.log) == sum(2 + len(EVENT_FIELDS[kind])
-                                  for _, kind, *_ in result.events)
+    assert len(result.log) == sum(2 + len(EVENT_FIELDS[EventKind(e["kind"])])
+                                  for e in result.trace)
 
 
 def test_bursts_are_slotted():

@@ -117,7 +117,7 @@ def run(scenario, seed=SEED):
     final time."""
     sim = Simulation(scenario, seed)
     result = sim.run()
-    return list(jobs_rows(result)), summary_row(result), result.events, sim.now
+    return list(jobs_rows(result)), summary_row(result), result.trace, sim.now
 
 
 def outputs(scenario):

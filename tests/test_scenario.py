@@ -187,15 +187,9 @@ class TestBooleans:
         ("true", True), ("1", True), ("yes", True),
         ("false", False), ("0", False), ("no", False)])
     def test_accepted_spellings(self, text, value):
-        s = parse_scenario(f"migration_enabled {text}\n"
-                           + MINIMAL.replace("data_site=s1",
-                                             f"data_site=s1 per_site={text}"))
-        assert s.migration_enabled is value
+        s = parse_scenario(MINIMAL.replace("data_site=s1",
+                                           f"data_site=s1 per_site={text}"))
         assert s.bursts[0].per_site is value
-
-    def test_migration_enabled_typo_rejected(self):
-        with pytest.raises(ScenarioError, match=r"line 1: .*'flase'"):
-            parse_scenario("migration_enabled flase\n" + MINIMAL)
 
     def test_per_site_typo_rejected(self):
         with pytest.raises(ScenarioError, match=r"line 4: .*'ture'"):
@@ -421,9 +415,10 @@ class TestSettingTypes:
     """A Scenario built in code is type-checked as well: each setting
     must have its default's type, as the parser's conversion gives it."""
 
+    # A bool is no setting's type, though it is an int.
     @pytest.mark.parametrize("key,value", [
-        ("batch_size", 2.5), ("site_count", 2.5), ("migration_enabled", "no"),
-        ("echo_retries", 1.5), ("thrs", True), ("queue", "fcfs")])
+        ("batch_size", 2.5), ("site_count", 2.5), ("echo_retries", 1.5),
+        ("queue", "fcfs")] + [(key, True) for key in _SETTINGS])
     def test_wrong_type_names_the_setting(self, key, value):
         p4 = parse_scenario("preset P4\n")
         with pytest.raises(ScenarioError, match=f"^{key} must be of type "):
@@ -436,8 +431,6 @@ class TestSettingTypes:
 
 def non_default(default):
     """A value of the default's type other than it, valid on its own."""
-    if isinstance(default, bool):
-        return not default
     if isinstance(default, Enum):
         return next(m for m in type(default) if m is not default)
     if isinstance(default, int):
