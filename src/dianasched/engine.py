@@ -15,6 +15,7 @@ import hashlib
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -63,10 +64,10 @@ class EventKind(str, Enum):
     PEER_REGISTERED = "peer_registered"
 
 
-# The field names of each kind, in the order `Simulation._trace` takes
-# their values.  A failed_unreachable event carries `dest` only when the
+# The field names of each kind, in the order the trace gives them and
+# `EventLog` stores them.  A failed_unreachable event carries `dest` only when the
 # job's data could not be staged to its chosen site; when no site was
-# reachable at all the log holds None there, which `RunResult.trace`
+# reachable at all the log holds NO_SITE there, which `RunResult.trace`
 # drops.
 EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
     EventKind.SUBMIT: ("job", "site"),
@@ -85,6 +86,84 @@ EVENT_FIELDS: Dict[EventKind, Tuple[str, ...]] = {
     EventKind.PEER_REGISTERED: ("site",),
 }
 
+# The `EventLog` column that holds each field's values.  `site`, `dest`
+# and `source` are site indices, `peers` and `batch` counts.
+_COLUMN = {"job": "jobs", "site": "refs", "dest": "refs", "source": "refs",
+           "peers": "refs", "batch": "refs", "transfer": "nums",
+           "duration": "nums", "priority": "nums", "ratio": "nums"}
+_SITE_FIELDS = frozenset({"site", "dest", "source"})
+_KIND_CODE = {kind: code for code, kind in enumerate(EventKind)}
+
+# The `refs` entry of a failed_unreachable's missing `dest`.
+NO_SITE = 0xFFFFFFFF
+
+
+class EventLog:
+    """A run's events, stored by column, with no object per event.
+
+    Event i happened at `times[i]` and is of kind
+    `list(EventKind)[kinds[i]]`.  Its values, in `EVENT_FIELDS` order,
+    each take the next entry of their field's column (`_COLUMN`): `jobs`
+    holds the job ids the jobs already hold, `refs` the site indices
+    into `sites` and the counts, and `nums` the other numbers.
+    """
+
+    __slots__ = ("sites", "times", "kinds", "jobs", "refs", "nums")
+
+    def __init__(self, sites: List[str]):
+        self.sites = sites  # site ids by index
+        self.times = array("d")
+        self.kinds = bytearray()
+        self.jobs: List[str] = []
+        self.refs = array("I")
+        self.nums = array("d")
+
+    def record(self, t: float, kind: EventKind, job: Optional[str],
+               ref: Optional[int] = None, num: Optional[float] = None,
+               ref2: Optional[int] = None,
+               num2: Optional[float] = None) -> None:
+        """Append one event, its values already split by column: its
+        `refs` values are `ref` and then `ref2`, its `nums` values `num`
+        and then `num2`, each in `EVENT_FIELDS` order.  The values a
+        kind lacks stay None.  Single values, not tuples, keep this
+        cheap: it runs several times per job."""
+        self.times.append(t)
+        self.kinds.append(_KIND_CODE[kind])
+        if job is not None:
+            self.jobs.append(job)
+        if ref is not None:
+            self.refs.append(ref)
+            if ref2 is not None:
+                self.refs.append(ref2)
+        if num is not None:
+            self.nums.append(num)
+            if num2 is not None:
+                self.nums.append(num2)
+
+    def decode(self) -> List[dict]:
+        """The events as the dicts `RunResult.trace` returns."""
+        columns = {"jobs": iter(self.jobs), "refs": iter(self.refs),
+                   "nums": iter(self.nums)}
+        plans = [(kind.value, [(name, columns[_COLUMN[name]],
+                                name in _SITE_FIELDS)
+                               for name in EVENT_FIELDS[kind]])
+                 for kind in EventKind]
+        sites = self.sites
+        out = []
+        for t, code in zip(self.times, self.kinds):
+            kind, plan = plans[code]
+            entry = {"t": t, "kind": kind}
+            for name, column, is_site in plan:
+                value = next(column)
+                if is_site:
+                    if value == NO_SITE:
+                        continue
+                    value = sites[value]
+                entry[name] = value
+            out.append(entry)
+        return out
+
+
 # The event each terminal status records, under the status's own name.
 _TERMINAL_EVENT = {status: EventKind(status.value) for status in (
     JobStatus.COMPLETED, JobStatus.FAILED_UNREACHABLE,
@@ -99,9 +178,10 @@ class SiteRuntime:
     PeerSnapshot reports for a peer.
     """
 
-    def __init__(self, sdef: SiteDef, scenario: Scenario,
+    def __init__(self, sdef: SiteDef, index: int, scenario: Scenario,
                  users: Dict[str, UserProfile]):
         self.site_id = sdef.site_id
+        self.index = index  # in Simulation.site_order, the log's site table
         self.node_count = sdef.nodes
         self.node_power = sdef.power  # MFLOPS per node
         self.queue = MultilevelQueue(users, scenario.queue)
@@ -173,7 +253,7 @@ class RunResult:
     scenario: Scenario
     seed: int
     jobs: Dict[str, Job]  # in workload order
-    log: list  # t, kind, *values of each event in turn, from Simulation._trace
+    log: EventLog
     messages: int
     utilization: Dict[str, float]
     workload_hash: str
@@ -181,24 +261,10 @@ class RunResult:
     @property
     def trace(self) -> List[dict]:
         """The events as dicts: `t`, `kind` (a plain str), then the
-        kind's fields.  Decoded from the flat log anew on each read; see
-        docs/trace-format.md.
+        kind's fields.  Decoded from the log's columns anew on each read;
+        see docs/trace-format.md.
         """
-        out = []
-        log = self.log
-        i = 0
-        while i < len(log):
-            kind = log[i + 1]
-            names = EVENT_FIELDS[kind]
-            end = i + 2 + len(names)
-            entry = {"t": log[i], "kind": kind.value}
-            entry.update(zip(names, log[i + 2:end]))
-            # Only a failed_unreachable without a dest ends in None.
-            if log[end - 1] is None:
-                del entry[names[-1]]
-            out.append(entry)
-            i = end
-        return out
+        return self.log.decode()
 
     def records(self) -> List[Job]:
         return list(self.jobs.values())
@@ -253,13 +319,17 @@ class Simulation:
         self.now = 0.0
         self._seq = 0
         self._heap: List[tuple] = []
-        self.log: list = []  # flat: t, kind, *values per event
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
-        self.sites: Dict[str, SiteRuntime] = {}
-        for sdef in scenario.resolved_sites():
-            self.sites[sdef.site_id] = SiteRuntime(sdef, scenario, self.users)
-        self.site_order = sorted(self.sites)  # for rate ticks and Round Robin
+        sdefs = scenario.resolved_sites()
+        # For rate ticks, Round Robin and the log's site indices.
+        self.site_order = sorted(sdef.site_id for sdef in sdefs)
+        index = {sid: i for i, sid in enumerate(self.site_order)}
+        self.sites: Dict[str, SiteRuntime] = {
+            sdef.site_id: SiteRuntime(sdef, index[sdef.site_id], scenario,
+                                      self.users)
+            for sdef in sdefs}
+        self.log = EventLog(self.site_order)
         self.max_nodes = max(s.node_count for s in self.sites.values())
         self.topology = Topology(scenario.links, scenario.default_link)
         self.registry = PeerRegistry(scenario.echo_retries)
@@ -283,10 +353,6 @@ class Simulation:
                 f"event scheduled in the past: {time!r} < now {self.now!r}")
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))
-
-    def _trace(self, kind: EventKind, *values) -> None:
-        """Record one event; `values` follow `EVENT_FIELDS[kind]`."""
-        self.log += (self.now, kind, *values)
 
     def run(self) -> RunResult:
         if self._ran:
@@ -338,17 +404,18 @@ class Simulation:
 
     # -- job lifecycle -------------------------------------------------
 
-    def _terminal(self, job: Job, status: JobStatus, *extra) -> None:
+    def _terminal(self, job: Job, status: JobStatus,
+                  ref: Optional[int] = None) -> None:
         job.status = status
         self.pending -= 1
         self._idle_ticks = 0
-        self._trace(_TERMINAL_EVENT[status], job.job_id, *extra)
+        self.log.record(self.now, _TERMINAL_EVENT[status], job.job_id, ref)
 
     def _on_submit(self, job: Job) -> None:
         self._idle_ticks = 0
         site = self.sites[job.submit_site]
         site.arrivals_window += 1
-        self._trace(EventKind.SUBMIT, job.job_id, site.site_id)
+        self.log.record(self.now, EventKind.SUBMIT, job.job_id, site.index)
         if site.crashed:
             site.parked.append(job)
             return
@@ -388,7 +455,7 @@ class Simulation:
                 self._terminal(job, JobStatus.REJECTED_UNSCHEDULABLE)
                 return
             except UnreachableSiteError:
-                self._terminal(job, JobStatus.FAILED_UNREACHABLE, None)
+                self._terminal(job, JobStatus.FAILED_UNREACHABLE, NO_SITE)
                 return
             chosen = decision.chosen_site
             if chosen != site.site_id and chosen in site.snapshots:
@@ -399,16 +466,18 @@ class Simulation:
     def _send(self, job: Job, dest: str, migration: bool) -> None:
         """Move a job (and stage its data) to `dest`, then enqueue it there."""
         delay = 0.0
+        ref = self.sites[dest].index
         if job.data_site != dest:
             try:
                 link = self.topology.link_between(job.data_site, dest)
             except UnreachableSiteError:
-                self._terminal(job, JobStatus.FAILED_UNREACHABLE, dest)
+                self._terminal(job, JobStatus.FAILED_UNREACHABLE, ref)
                 return
             delay = transfer_cost(job, link)
             job.transfer_total += delay
-        self._trace(EventKind.MIGRATE if migration else EventKind.PLACE,
-                    job.job_id, dest, delay)
+        self.log.record(self.now,
+                        EventKind.MIGRATE if migration else EventKind.PLACE,
+                        job.job_id, ref, delay)
         self._at(self.now + delay, self._on_arrival, job, dest)
 
     def _on_arrival(self, job: Job, dest: str) -> None:
@@ -433,8 +502,8 @@ class Simulation:
             duration = (job.compute_demand /
                         (site.node_power * job.processors_required)
                         if job.compute_demand else 0.0)
-            self._trace(EventKind.ALLOCATE, job.job_id, site.site_id,
-                        duration)
+            self.log.record(self.now, EventKind.ALLOCATE, job.job_id,
+                            site.index, duration)
             self._at(self.now + duration, self._on_complete, job, duration)
 
     def _on_complete(self, job: Job, duration: float) -> None:
@@ -444,7 +513,7 @@ class Simulation:
         site.running -= 1
         site.completions_window += 1
         site.busy_node_seconds += duration * job.processors_required
-        self._terminal(job, JobStatus.COMPLETED, site.site_id)
+        self._terminal(job, JobStatus.COMPLETED, site.index)
         self._try_allocate(site)
 
     # -- peer communication --------------------------------------------
@@ -483,7 +552,8 @@ class Simulation:
                 queue_length=peer.backlog,
                 service_rate=peer.service_rate,
                 snapshot_time=self.now, jobs_ahead=ahead)
-        self._trace(EventKind.POLL, site.site_id, len(site.snapshots))
+        self.log.record(self.now, EventKind.POLL, None, site.index,
+                        ref2=len(site.snapshots))
 
     def _peer_estimates(self, site: SiteRuntime) -> List[PeerSnapshot]:
         """Fresh snapshots of peers the registry still considers alive.
@@ -543,18 +613,19 @@ class Simulation:
         target = migrate_batch(batch, site, local_ahead, peers, self.now,
                                self.topology, self.scenario.b_ref)
         if target is None:
-            self._trace(EventKind.MIGRATION_STAY_LOCAL, site.site_id,
-                        len(batch), ratio)
+            self.log.record(self.now, EventKind.MIGRATION_STAY_LOCAL, None,
+                            site.index, ratio, ref2=len(batch))
             return
         self._idle_ticks = 0
         # Selection-time priorities; removals below reprioritize the rest.
         picked_pr = {jid: site.queue.priority_of(jid) for jid in cands}
+        target_index = self.sites[target].index
         for jid in cands:
             pr = picked_pr[jid]
             job = site.queue.remove(jid)
             job.migrations += 1
-            self._trace(EventKind.MIGRATION_PICK, jid, site.site_id, target,
-                        pr, ratio)
+            self.log.record(self.now, EventKind.MIGRATION_PICK, job.job_id,
+                            site.index, pr, ref2=target_index, num2=ratio)
             if target in site.snapshots:
                 site.snapshots[target].sent_since += 1
             self._send(job, target, migration=True)
@@ -572,7 +643,8 @@ class Simulation:
             self.messages += len(survivors)
             for other in survivors:
                 self.sites[other].snapshots.pop(sid, None)
-            self._trace(EventKind.PEER_REMOVED, sid)
+            self.log.record(self.now, EventKind.PEER_REMOVED, None,
+                            self.sites[sid].index)
         if self.pending > 0 and self._idle_ticks < MAX_IDLE_TICKS:
             self._at(self.now + self.scenario.echo_interval, self._on_echo_tick)
 
@@ -582,16 +654,18 @@ class Simulation:
         site = self.sites[fault.site]
         if fault.action == "crash":
             site.crashed = True
-            self._trace(EventKind.CRASH, fault.site)
+            self.log.record(self.now, EventKind.CRASH, None, site.index)
         elif fault.action == "deregister":
             self.registry.deregister(fault.site)
             for other in self.registry.list_peers():
                 self.sites[other].snapshots.pop(fault.site, None)
-            self._trace(EventKind.PEER_DEREGISTERED, fault.site)
+            self.log.record(self.now, EventKind.PEER_DEREGISTERED, None,
+                            site.index)
         elif fault.action == "register":
             site.crashed = False
             self.registry.register(fault.site)
-            self._trace(EventKind.PEER_REGISTERED, fault.site)
+            self.log.record(self.now, EventKind.PEER_REGISTERED, None,
+                            site.index)
             self._idle_ticks = 0
             parked, site.parked = site.parked, []
             for job in parked:

@@ -2,14 +2,16 @@
 
 import dataclasses
 import heapq
+import json
 import re
+from array import array
 from pathlib import Path
 
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
-from dianasched.engine import (EVENT_FIELDS, EventKind, JobStatus, Simulation,
-                               SimulationError, generate_workload,
+from dianasched.engine import (EVENT_FIELDS, NO_SITE, EventKind, JobStatus,
+                               Simulation, SimulationError, generate_workload,
                                run_scenario, workload_hash)
 from dianasched.queueing import MultilevelQueue
 from dianasched.scenario import (BurstDef, FaultDef, Scenario, SiteDef,
@@ -277,24 +279,131 @@ class TestTrace:
         assert list(terminal[0]) == list(failed)  # key order too
         assert all(type(e["kind"]) is str for e in trace)
 
-    @pytest.mark.parametrize("scheduler,failed,poll", [
-        # No reachable candidate: the log holds None for the dest, which
-        # the view drops.
-        (SchedulerKind.DIANA, ["j00001", None],
-         [[0.0, EventKind.POLL, "s1", 1]]),
-        (SchedulerKind.ROUND_ROBIN, ["j00001", "s2"], [])])
-    def test_events_decode_the_flat_log(self, scheduler, failed, poll):
+    @pytest.mark.parametrize("scheduler,kinds,times,refs", [
+        # No reachable candidate: NO_SITE holds the dest's place in
+        # `refs`, and the view leaves it out.  The poll stores s1's index
+        # and its one peer.
+        (SchedulerKind.DIANA,
+         [EventKind.SUBMIT, EventKind.POLL, EventKind.FAILED_UNREACHABLE,
+          EventKind.SUBMIT, EventKind.REJECTED_UNSCHEDULABLE],
+         [0.0, 0.0, 0.0, 1.0, 1.0], [0, 0, 1, NO_SITE, 0]),
+        (SchedulerKind.ROUND_ROBIN,
+         [EventKind.SUBMIT, EventKind.FAILED_UNREACHABLE, EventKind.SUBMIT,
+          EventKind.REJECTED_UNSCHEDULABLE],
+         [0.0, 0.0, 1.0, 1.0], [0, 1, 0])], ids=["diana", "round_robin"])
+    def test_events_decode_the_stored_columns(self, scheduler, kinds, times,
+                                              refs):
         result = run_scenario(self._unlinked(scheduler), seed=0)
-        stored = [[0.0, EventKind.SUBMIT, "j00001", "s1"], *poll,
-                  [0.0, EventKind.FAILED_UNREACHABLE, *failed],
-                  [1.0, EventKind.SUBMIT, "j00002", "s1"],
-                  [1.0, EventKind.REJECTED_UNSCHEDULABLE, "j00002"]]
-        assert result.log == [v for e in stored for v in e]
-        assert result.trace == [
-            {"t": t, "kind": kind.value,
-             **{k: v for k, v in zip(EVENT_FIELDS[kind], values)
-                if v is not None}}
-            for t, kind, *values in stored]
+        log = result.log
+        assert log.sites == ["s1", "s2"]
+        assert log.times == array("d", times)
+        assert log.kinds == bytearray(list(EventKind).index(k) for k in kinds)
+        assert log.jobs == ["j00001", "j00001", "j00002", "j00002"]
+        assert log.refs == array("I", refs)
+        assert log.nums == array("d")
+        assert [(e["t"], e["kind"]) for e in result.trace] == \
+            [(t, k.value) for t, k in zip(times, kinds)]
+
+    # The goldens' traces record ten of the 14 kinds.  Each case below is
+    # a small run whose whole trace records one of the other four,
+    # written out: `json.dumps` pins key order and each value's type.
+    def _stay_local(self):
+        # s2 is too small for the jobs, so congested s1 keeps its batch.
+        return Scenario(sites=[SiteDef("s1", 2, 1.0), SiteDef("s2", 1, 1.0)],
+                        default_link=NetworkLink("*", "*", 1000.0),
+                        users=[UserProfile("u1", 1.0)], migration_cutoff=1.0,
+                        bursts=[burst(count=3, demand=20.0, procs=2)])
+
+    def _deregistered(self):
+        # The poll after the fault no longer finds s2.
+        return Scenario(sites=[SiteDef("s1", 1, 1.0), SiteDef("s2", 1, 1.0)],
+                        default_link=NetworkLink("*", "*", 1000.0),
+                        users=[UserProfile("u1", 1.0)],
+                        faults=[FaultDef("deregister", "s2", 1.0)],
+                        bursts=[burst(), burst(time=31.0)])
+
+    def _unlinked_diana(self):
+        return self._unlinked(SchedulerKind.DIANA)
+
+    def _unlinked_round_robin(self):
+        return self._unlinked(SchedulerKind.ROUND_ROBIN)
+
+    def _oversized(self):
+        return one_site_scenario([burst(procs=2)])
+
+    @pytest.mark.parametrize("kind,case,expected", [
+        ("migration_stay_local", "_stay_local", [
+            {"t": 0.0, "kind": "submit", "job": "j00001", "site": "s1"},
+            {"t": 0.0, "kind": "poll", "site": "s1", "peers": 1},
+            {"t": 0.0, "kind": "place", "job": "j00001", "dest": "s1",
+             "transfer": 0.0},
+            {"t": 0.0, "kind": "submit", "job": "j00002", "site": "s1"},
+            {"t": 0.0, "kind": "place", "job": "j00002", "dest": "s1",
+             "transfer": 0.0},
+            {"t": 0.0, "kind": "submit", "job": "j00003", "site": "s1"},
+            {"t": 0.0, "kind": "place", "job": "j00003", "dest": "s1",
+             "transfer": 0.0},
+            {"t": 0.0, "kind": "allocate", "job": "j00001", "site": "s1",
+             "duration": 10.0},
+            {"t": 10.0, "kind": "poll", "site": "s1", "peers": 1},
+            {"t": 10.0, "kind": "migration_stay_local", "site": "s1",
+             "batch": 2, "ratio": 1.0},
+            {"t": 10.0, "kind": "completed", "job": "j00001", "site": "s1"},
+            {"t": 10.0, "kind": "allocate", "job": "j00002", "site": "s1",
+             "duration": 10.0},
+            {"t": 20.0, "kind": "poll", "site": "s1", "peers": 1},
+            {"t": 20.0, "kind": "migration_stay_local", "site": "s1",
+             "batch": 1, "ratio": 0.5833333333333333},
+            {"t": 20.0, "kind": "completed", "job": "j00002", "site": "s1"},
+            {"t": 20.0, "kind": "allocate", "job": "j00003", "site": "s1",
+             "duration": 10.0},
+            {"t": 30.0, "kind": "completed", "job": "j00003", "site": "s1"}]),
+        ("peer_deregistered", "_deregistered", [
+            {"t": 0.0, "kind": "submit", "job": "j00001", "site": "s1"},
+            {"t": 0.0, "kind": "poll", "site": "s1", "peers": 1},
+            {"t": 0.0, "kind": "place", "job": "j00001", "dest": "s1",
+             "transfer": 0.0},
+            {"t": 0.0, "kind": "allocate", "job": "j00001", "site": "s1",
+             "duration": 3.0},
+            {"t": 1.0, "kind": "peer_deregistered", "site": "s2"},
+            {"t": 3.0, "kind": "completed", "job": "j00001", "site": "s1"},
+            {"t": 31.0, "kind": "submit", "job": "j00002", "site": "s1"},
+            {"t": 31.0, "kind": "poll", "site": "s1", "peers": 0},
+            {"t": 31.0, "kind": "place", "job": "j00002", "dest": "s1",
+             "transfer": 0.0},
+            {"t": 31.0, "kind": "allocate", "job": "j00002", "site": "s1",
+             "duration": 3.0},
+            {"t": 34.0, "kind": "completed", "job": "j00002", "site": "s1"}]),
+        # No candidate the data can reach: no dest.
+        ("failed_unreachable", "_unlinked_diana", [
+            {"t": 0.0, "kind": "submit", "job": "j00001", "site": "s1"},
+            {"t": 0.0, "kind": "poll", "site": "s1", "peers": 1},
+            {"t": 0.0, "kind": "failed_unreachable", "job": "j00001"},
+            {"t": 1.0, "kind": "submit", "job": "j00002", "site": "s1"},
+            {"t": 1.0, "kind": "rejected_unschedulable", "job": "j00002"}]),
+        # Round robin picks s2, then staging the data there fails.
+        ("failed_unreachable", "_unlinked_round_robin", [
+            {"t": 0.0, "kind": "submit", "job": "j00001", "site": "s1"},
+            {"t": 0.0, "kind": "failed_unreachable", "job": "j00001",
+             "dest": "s2"},
+            {"t": 1.0, "kind": "submit", "job": "j00002", "site": "s1"},
+            {"t": 1.0, "kind": "rejected_unschedulable", "job": "j00002"}]),
+        ("rejected_unschedulable", "_oversized", [
+            {"t": 0.0, "kind": "submit", "job": "j00001", "site": "s1"},
+            {"t": 0.0, "kind": "rejected_unschedulable", "job": "j00001"}])])
+    def test_whole_trace_of_a_kind_no_golden_records(self, kind, case,
+                                                     expected):
+        trace = run_scenario(getattr(self, case)(), seed=0).trace
+        assert kind in {e["kind"] for e in trace}
+        assert trace == expected
+        assert json.dumps(trace) == json.dumps(expected)
+
+    def test_t_is_a_float_even_for_int_times(self):
+        trace = run_scenario(one_site_scenario(
+            [burst(time=1, demand=2)], faults=[FaultDef("crash", "s1", 5)]),
+            seed=0).trace
+        assert [e["t"] for e in trace] == [1.0, 1.0, 1.0, 1.0, 3.0, 5.0, 60.0]
+        assert all(type(e["t"]) is float for e in trace)
 
     def test_view_is_rebuilt_from_the_stored_events(self):
         result = run_scenario(self._unlinked(SchedulerKind.DIANA), seed=0)

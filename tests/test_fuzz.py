@@ -263,11 +263,11 @@ def test_scenario_text_is_rejected_or_runs_consistently(case):
 
 
 def _outcome(run):
-    """The jobs.csv rows, summary and event log of a run, or the text of
+    """The jobs.csv rows, summary and events of a run, or the text of
     the SimulationError that stopped it."""
     try:
         result = run()
-        return list(jobs_rows(result)), result.summary(), result.log
+        return list(jobs_rows(result)), result.summary(), result.trace
     except SimulationError as exc:
         return str(exc)
 

@@ -1,0 +1,106 @@
+"""Oracles that need no golden: results the model must meet by reasoning
+alone.
+
+- One site, three schedulers: with a single site every scheduler sends
+  each job to it, so `diana`, `round_robin` and `flop_greedy` give the
+  same jobs.csv rows under `fcfs` and under `sjf`.  Only the messages
+  each one spends to decide differ.
+- M/D/1: one FCFS node fed by Poisson arrivals of jobs of one fixed
+  size is the M/D/1 queue, whose mean wait is Pollaczek–Khinchine's
+  rho / (2 mu (1 - rho)) (Kleinrock, *Queueing Systems, Vol. 1*, 1975).
+  The run's `mean_queue_time` must fall within a batch-means confidence
+  interval of it.
+"""
+
+import dataclasses
+import random
+import statistics
+
+import pytest
+
+from dianasched.baselines import QueueDiscipline, SchedulerKind
+from dianasched.core import JobKind, UserProfile
+from dianasched.engine import run_scenario
+from dianasched.report import jobs_rows
+from dianasched.scenario import BurstDef, Scenario, SiteDef, parse_scenario
+
+SCHEDULERS = [SchedulerKind.DIANA, SchedulerKind.ROUND_ROBIN,
+              SchedulerKind.FLOP_GREEDY]
+
+
+def _one_site_text():
+    """One 3-node site, 800 jobs from two users: processor counts 1 to 3,
+    ranged demands, and two jobs too wide for the site."""
+    lines = ["site s1 nodes=3 power=1.0", "default_link bandwidth=1000",
+             "user u1 quota=1", "user u2 quota=3"]
+    for i in range(40):
+        for user, procs, demand in (("u1", 1 + i % 3, "5:40"),
+                                    ("u2", 1 + (i + 1) % 3, "1:20")):
+            lines.append(f"burst time={15 * i} user={user} site=s1 count=10 "
+                         f"demand={demand} procs={procs} data=1e9 "
+                         f"data_site=s1 kind=mixed")
+    lines.append("burst time=300 user=u1 site=s1 count=2 demand=5 procs=4 "
+                 "data_site=s1")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("queue", [QueueDiscipline.FCFS, QueueDiscipline.SJF])
+def test_one_site_gives_every_scheduler_the_same_jobs(queue):
+    base = parse_scenario(_one_site_text())
+    runs = {kind: run_scenario(dataclasses.replace(
+        base, scheduler=kind, queue=queue), seed=7) for kind in SCHEDULERS}
+    rows = {kind: list(jobs_rows(r)) for kind, r in runs.items()}
+    assert len(rows[SchedulerKind.DIANA]) == 802
+    assert rows[SchedulerKind.ROUND_ROBIN] == rows[SchedulerKind.DIANA]
+    assert rows[SchedulerKind.FLOP_GREEDY] == rows[SchedulerKind.DIANA]
+    summaries = {kind: r.summary() for kind, r in runs.items()}
+    assert summaries[SchedulerKind.DIANA]["completed"] == 800
+    assert summaries[SchedulerKind.DIANA]["rejected_unschedulable"] == 2
+    decision = ("scheduler", "message_count", "messages_per_job")
+    same = [{k: v for k, v in s.items() if k not in decision}
+            for s in summaries.values()]
+    assert same[1] == same[0] and same[2] == same[0]
+    messages = [s["message_count"] for s in summaries.values()]
+    assert len(set(messages)) == 3
+
+
+# Two-sided 99% quantile of Student's t with BATCHES - 1 = 19 degrees of
+# freedom.
+BATCHES = 20
+T_99 = 2.861
+
+
+def test_md1_mean_wait_meets_pollaczek_khinchine():
+    # Arrival rate 0.7/s; each job is 1 MFLOP on a 1 MFLOPS node, so the
+    # service time is exactly 1 s (mu = 1) and rho = 0.7.
+    lam, mu, jobs = 0.7, 1.0, 20_000
+    rng = random.Random(2024)
+    t, bursts = 0.0, []
+    for _ in range(jobs):
+        t += rng.expovariate(lam)
+        bursts.append(BurstDef(time=t, user="u", site="s1", count=1,
+                               demand=1.0, procs=1, data=0.0, data_site="s1",
+                               kind=JobKind.COMPUTE_INTENSIVE))
+    scenario = Scenario(scheduler=SchedulerKind.ROUND_ROBIN,
+                        queue=QueueDiscipline.FCFS,
+                        sites=[SiteDef("s1", 1, 1.0)],
+                        users=[UserProfile("u", 1.0)], bursts=bursts)
+    result = run_scenario(scenario, seed=0)
+    summary = result.summary()
+    assert summary["completed"] == jobs
+    # Waits of successive jobs are correlated, so the interval comes from
+    # the means of BATCHES consecutive batches, each about 1,400 s long,
+    # far beyond the queue's relaxation time of about 40 s.
+    waits = [job.queue_time for job in result.records()]
+    size = jobs // BATCHES
+    means = [statistics.fmean(waits[i:i + size])
+             for i in range(0, jobs, size)]
+    mean = summary["mean_queue_time"]
+    assert mean == pytest.approx(statistics.fmean(means), rel=1e-12)
+    half_width = T_99 * statistics.stdev(means) / BATCHES ** 0.5
+    rho = lam / mu
+    expected = rho / (2 * mu * (1 - rho))
+    assert abs(mean - expected) <= half_width
+    # The interval is narrow enough to mean something: within 20% of the
+    # expected wait (15% at this seed).
+    assert half_width < 0.2 * expected
