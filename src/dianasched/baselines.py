@@ -10,8 +10,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence, Tuple
 
-from .core import Job
-
 
 class SchedulerKind(str, Enum):
     DIANA = "diana"
@@ -32,11 +30,12 @@ def rr_schedule(sites: Sequence[str], cursor: int) -> Tuple[str, int]:
     return sites[cursor % len(sites)], (cursor + 1) % len(sites)
 
 
-def flop_schedule(job: Job, sites: Sequence) -> str:
+def flop_schedule(sites: Sequence) -> str:
     """Site with the most idle capacity (node_power * idle_nodes).
 
-    `sites` are objects with site_id, node_power and idle_nodes.  Ties
-    break to the lexically smallest site id.
+    `sites` are the sites that fit the job, objects with site_id,
+    node_power and idle_nodes.  Ties break to the lexically smallest
+    site id.
     """
     if not sites:
         raise ValueError("site list must be nonempty")

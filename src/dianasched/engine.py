@@ -443,10 +443,9 @@ class Simulation:
             self.messages += 2 * len(self.sites)
             fits = [s for s in self.sites.values()
                     if job.processors_required <= s.node_count]
-            chosen = flop_schedule(job, fits)
+            chosen = flop_schedule(fits)
         else:
-            self._maybe_poll(site)
-            peers = self._peer_estimates(site)
+            peers = self._poll(site)
             try:
                 decision = schedule(job, site, peers, self.now, self.topology,
                                     b_ref=self.scenario.b_ref,
@@ -458,7 +457,7 @@ class Simulation:
                 self._terminal(job, JobStatus.FAILED_UNREACHABLE, NO_SITE)
                 return
             chosen = decision.chosen_site
-            if chosen != site.site_id and chosen in site.snapshots:
+            if chosen != site.site_id:
                 site.snapshots[chosen].sent_since += 1
         job.scheduled = self.now
         self._send(job, chosen, migration=False)
@@ -493,7 +492,7 @@ class Simulation:
             job = site.queue.ordered(1)[0]
             if job.processors_required > site.idle_nodes:
                 break  # head-of-line blocking, no backfilling
-            site.queue.remove(job.job_id)
+            site.queue.remove(job)
             job.started = self.now
             job.exec_site = site.site_id
             job.status = JobStatus.RUNNING
@@ -518,52 +517,48 @@ class Simulation:
 
     # -- peer communication --------------------------------------------
 
-    def _maybe_poll(self, site: SiteRuntime, force: bool = False,
-                    reference_priority: Optional[float] = None) -> None:
-        """Rate-limited poll of discovery plus every alive peer.
+    def _poll(self, site: SiteRuntime,
+              reference_priority: Optional[float] = None) -> List[PeerSnapshot]:
+        """Poll discovery and every alive peer when due, then return the
+        fresh snapshots of the peers the registry still considers alive.
 
-        Polling is demand-driven: it only happens from scheduling or
-        migration events, never per job (the interval gate amortizes it).
-        """
-        if site.crashed:
-            return
-        interval = self.scenario.poll_interval
-        if (not force and site.last_poll is not None
-                and self.now - site.last_poll < interval):
-            return
-        site.last_poll = self.now
-        self.messages += 2  # discovery request/reply
-        alive = self.registry.list_peers(site.site_id)
-        for sid in list(site.snapshots):
-            if sid not in alive:
-                del site.snapshots[sid]
-        for sid in alive:
-            peer = self.sites[sid]
-            if peer.crashed:
-                self.messages += 1  # request sent, no reply
-                continue
-            self.messages += 2
-            ahead = 0
-            if reference_priority is not None:
-                ahead = peer.queue.jobs_ahead(reference_priority)
-            site.snapshots[sid] = PeerSnapshot(
-                site_id=sid, node_count=peer.node_count,
-                node_power=peer.node_power,
-                queue_length=peer.backlog,
-                service_rate=peer.service_rate,
-                snapshot_time=self.now, jobs_ahead=ahead)
-        self.log.record(self.now, EventKind.POLL, None, site.index,
-                        ref2=len(site.snapshots))
-
-    def _peer_estimates(self, site: SiteRuntime) -> List[PeerSnapshot]:
-        """Fresh snapshots of peers the registry still considers alive.
-
-        They come in poll order; `schedule` and `migrate_batch` rank
+        Polling is demand-driven: it only happens from placement and
+        export, never per job.  A placement poll goes out at most once
+        per `poll_interval`; an export probe, which carries the batch's
+        reference priority for the peers' `jobs_ahead`, always goes out.
+        The view leaves out snapshots older than twice the interval.  It
+        comes in poll order; `schedule` and `migrate_batch` rank
         candidates by keys that end in the site id, so order never
         decides.
         """
-        horizon = 2 * self.scenario.poll_interval
         now = self.now
+        interval = self.scenario.poll_interval
+        if (reference_priority is not None or site.last_poll is None
+                or now - site.last_poll >= interval):
+            site.last_poll = now
+            self.messages += 2  # discovery request/reply
+            alive = self.registry.list_peers(site.site_id)
+            for sid in list(site.snapshots):
+                if sid not in alive:
+                    del site.snapshots[sid]
+            for sid in alive:
+                peer = self.sites[sid]
+                if peer.crashed:
+                    self.messages += 1  # request sent, no reply
+                    continue
+                self.messages += 2
+                ahead = 0
+                if reference_priority is not None:
+                    ahead = peer.queue.jobs_ahead(reference_priority)
+                site.snapshots[sid] = PeerSnapshot(
+                    site_id=sid, node_count=peer.node_count,
+                    node_power=peer.node_power,
+                    queue_length=peer.backlog,
+                    service_rate=peer.service_rate,
+                    snapshot_time=now, jobs_ahead=ahead)
+            self.log.record(now, EventKind.POLL, None, site.index,
+                            ref2=len(site.snapshots))
+        horizon = 2 * interval
         is_alive = self.registry.is_alive
         return [snap for sid, snap in site.snapshots.items()
                 if now - snap.snapshot_time <= horizon and is_alive(sid)]
@@ -599,35 +594,32 @@ class Simulation:
         ratio = congestion_ratio(site.arr_est.value, site.service_rate)
         if not is_congested(ratio, self.scenario.thrs) or not len(site.queue):
             return
-        cands = site.queue.migration_candidates(self.scenario.batch_size,
+        picks = site.queue.migration_candidates(self.scenario.batch_size,
                                                 self.scenario.migration_cutoff)
-        if not cands:
+        if not picks:
             return
-        ref_pr = max(site.queue.priority_of(c) for c in cands)
-        self._maybe_poll(site, force=True, reference_priority=ref_pr)
-        peers = self._peer_estimates(site)
+        # Selection-time priorities: nothing changes the queue before the
+        # removals below, which reprioritize the rest.
+        picked_pr = [site.queue.priority_of(job) for job in picks]
+        ref_pr = max(picked_pr)
+        peers = self._poll(site, reference_priority=ref_pr)
         if not peers:
             return
-        batch = [site.queue.jobs[c] for c in cands]
         local_ahead = site.queue.jobs_ahead(ref_pr)
-        target = migrate_batch(batch, site, local_ahead, peers, self.now,
+        target = migrate_batch(picks, site, local_ahead, peers, self.now,
                                self.topology, self.scenario.b_ref)
         if target is None:
             self.log.record(self.now, EventKind.MIGRATION_STAY_LOCAL, None,
-                            site.index, ratio, ref2=len(batch))
+                            site.index, ratio, ref2=len(picks))
             return
         self._idle_ticks = 0
-        # Selection-time priorities; removals below reprioritize the rest.
-        picked_pr = {jid: site.queue.priority_of(jid) for jid in cands}
         target_index = self.sites[target].index
-        for jid in cands:
-            pr = picked_pr[jid]
-            job = site.queue.remove(jid)
+        site.snapshots[target].sent_since += len(picks)
+        for job, pr in zip(picks, picked_pr):
+            site.queue.remove(job)
             job.migrations += 1
             self.log.record(self.now, EventKind.MIGRATION_PICK, job.job_id,
                             site.index, pr, ref2=target_index, num2=ratio)
-            if target in site.snapshots:
-                site.snapshots[target].sent_since += 1
             self._send(job, target, migration=True)
 
     def _on_echo_tick(self) -> None:
@@ -636,10 +628,10 @@ class Simulation:
         for sid in alive:
             self.messages += 2 if responder(sid) else 1
         removed = self.registry.echo_sweep(responder)
+        # Discovery pushes each removal to the surviving sites so none
+        # keeps exporting to a dead peer on a stale snapshot.
+        survivors = self.registry.list_peers() if removed else []
         for sid in removed:
-            # Discovery pushes the removal to the surviving sites so none
-            # keeps exporting to a dead peer on a stale snapshot.
-            survivors = self.registry.list_peers()
             self.messages += len(survivors)
             for other in survivors:
                 self.sites[other].snapshots.pop(sid, None)

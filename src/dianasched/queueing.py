@@ -91,8 +91,9 @@ class MultilevelQueue:
                key=_submit_order)
         self.reprioritize()
 
-    def remove(self, job_id: str) -> Job:
-        job = self.jobs.pop(job_id)
+    def remove(self, job: Job) -> None:
+        """Take a queued job out and reprioritize."""
+        del self.jobs[job.job_id]
         cls = _class_of(job)
         members = self._classes[cls]
         del members[bisect_left(members, _submit_order(job),
@@ -100,7 +101,6 @@ class MultilevelQueue:
         if not members:
             del self._classes[cls]
         self.reprioritize()
-        return job
 
     def reprioritize(self) -> None:
         """Recompute every class's priority from the queued classes.
@@ -125,9 +125,9 @@ class MultilevelQueue:
 
     # -- views ---------------------------------------------------------
 
-    def priority_of(self, job_id: str) -> float:
-        """A queued job's priority (priority discipline only)."""
-        return self._class_priorities[_class_of(self.jobs[job_id])]
+    def priority_of(self, job: Job) -> float:
+        """A queued job's priority: its class's (priority discipline only)."""
+        return self._class_priorities[_class_of(job)]
 
     def ordered(self, limit: Optional[int] = None) -> List[Job]:
         """The first `limit` queued jobs in service order (all by default).
@@ -163,12 +163,13 @@ class MultilevelQueue:
                    for cls, pr in self._class_priorities.items()
                    if pr > probe_priority)
 
-    def migration_candidates(self, batch_size: int, cutoff: float) -> List[str]:
-        """Lowest-priority job ids below the migration cutoff, worst first."""
+    def migration_candidates(self, batch_size: int, cutoff: float) -> List[Job]:
+        """Up to `batch_size` queued jobs whose priority is below the
+        migration cutoff, lowest priority first; they stay queued."""
         tails = [zip(repeat(-pr), reversed(self._classes[cls]))
                  for cls, pr in self._class_priorities.items() if pr < cutoff]
         worst_first = heapq.merge(*tails, key=_service_order, reverse=True)
-        return [job.job_id for _, job in islice(worst_first, batch_size)]
+        return [job for _, job in islice(worst_first, batch_size)]
 
 
 def _class_of(job: Job) -> Tuple[str, int]:

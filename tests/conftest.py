@@ -51,7 +51,7 @@ def sjf_order(jobs):
 
 def priorities(queue):
     """Every queued job's priority by job id (priority discipline only)."""
-    return {job_id: queue.priority_of(job_id) for job_id in queue.jobs}
+    return {job.job_id: queue.priority_of(job) for job in queue.jobs.values()}
 
 
 def assert_busy_node_seconds_conserved(sim, result):

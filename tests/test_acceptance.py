@@ -76,7 +76,7 @@ def test_ac2_reprioritization_oracle():
         for op in range(rng.randint(1, 50)):
             if live and rng.random() < 0.3:
                 victim = live.pop(rng.randrange(len(live)))
-                queue.remove(victim.job_id)
+                queue.remove(victim)
             else:
                 job = mk_job(job_id=f"c{case}-{op}",
                              user=f"u{rng.randrange(n_users)}",

@@ -50,20 +50,20 @@ class TestFlopGreedy:
     def test_picks_most_idle_capacity(self):
         sites = [IdleView("s1", 10.0, 1), IdleView("s2", 50.0, 1),
                  IdleView("s3", 20.0, 1)]
-        assert flop_schedule(mk_job(), sites) == "s2"
+        assert flop_schedule(sites) == "s2"
 
     def test_capacity_is_power_times_idle_nodes(self):
         sites = [IdleView("s1", 10.0, 6), IdleView("s2", 50.0, 1)]
-        assert flop_schedule(mk_job(), sites) == "s1"
+        assert flop_schedule(sites) == "s1"
 
     def test_tie_breaks_lexically(self):
         sites = [IdleView("b", 10.0, 2), IdleView("a", 10.0, 2),
                  IdleView("c", 10.0, 2)]
-        assert flop_schedule(mk_job(), sites) == "a"
+        assert flop_schedule(sites) == "a"
 
     def test_empty_site_list_rejected(self):
         with pytest.raises(ValueError):
-            flop_schedule(mk_job(), [])
+            flop_schedule([])
 
 
 def sjf_served(jobs):

@@ -10,6 +10,11 @@ package's exports), outside the definition's own lines.  Reads are
 matched by name, not by type, so a dead name spelled like a live one
 goes unnoticed.  A name read only outside src/, or only through a
 string, needs an entry in ROOTS.
+
+Likewise every parameter of every function under src/dianasched/ but
+`self` and `cls` is loaded in the function's body: a parameter no code
+reads is an argument every caller passes for nothing.  Lambdas are not
+checked.
 """
 
 import ast
@@ -146,3 +151,42 @@ def test_roots_are_defined_and_unread_in_src():
             for name, _ in reads(ast.parse(text))}
     assert ROOTS <= defined
     assert not ROOTS & read
+
+
+def unused_parameters(text):
+    """`function:parameter` of each parameter its function never loads."""
+    unused = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  args.vararg, *args.kwonlyargs, args.kwarg)
+                  if a is not None]
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{node.name}:{p}" for p in params
+                   if p not in ("self", "cls") and p not in loaded]
+    return unused
+
+
+def test_finds_unused_parameters():
+    text = ("def pick(job, sites, *rest, key=None, **extra):\n"
+            "    return min(sites, key=key)\n"
+            "class Box:\n"
+            "    def grow(self, by, spare):\n"
+            "        def inner(step):\n"
+            "            return by\n"
+            "        return inner\n"
+            "    @classmethod\n"
+            "    def make(cls, size):\n"
+            "        return size\n"
+            "ignored = lambda v: True\n")
+    assert unused_parameters(text) == ["pick:job", "pick:rest", "pick:extra",
+                                       "grow:spare", "inner:step"]
+
+
+def test_no_unused_parameters():
+    assert [f"{module}:{name}"
+            for module, text in package_sources().items()
+            for name in unused_parameters(text)] == []

@@ -2,10 +2,10 @@
 
 A generated scenario must either raise ScenarioError (exit 2 with a
 one-line diagnostic through the CLI that names a line of the text) or
-run with its job counts adding up, link no site to itself, serialize
-and parse back to an equal scenario (also for values drawn with long
-mantissas and large magnitudes), and give the same CSV bytes when run
-twice under one seed.
+run with its job counts adding up and no crashed site polling its
+peers, link no site to itself, serialize and parse back to an equal
+scenario (also for values drawn with long mantissas and large
+magnitudes), and give the same CSV bytes when run twice under one seed.
 Those bytes hold only finite numbers; a run that would reach an
 infinite time or total raises SimulationError instead (exit 2).  A run
 also gives the same jobs, summary and event log as the reference loop
@@ -222,6 +222,16 @@ def _run(text):
     for site in sim.sites.values():
         assert 0 <= site.idle_nodes <= site.node_count
     assert_busy_node_seconds_conserved(sim, result)
+    # A crashed site neither places nor exports, so it never polls until
+    # it registers again.
+    crashed = set()
+    for event in result.trace:
+        if event["kind"] == "crash":
+            crashed.add(event["site"])
+        elif event["kind"] == "peer_registered":
+            crashed.discard(event["site"])
+        elif event["kind"] == "poll":
+            assert event["site"] not in crashed, event
     for data in csvs:
         cells = {c for row in csv.reader(data.decode().splitlines()) for c in row}
         assert not cells & {"inf", "-inf", "nan"}
@@ -235,6 +245,13 @@ def _run(text):
                "data_site=s1\n", "unusable"))
 @example(case=("site s1 nodes=1 power=1\nthrs 0.5\nthrs 0.5\n",
                "twin statement"))
+# Jobs submitted at a crashed site wait there, parked, until it
+# registers; they must not make it poll.
+@example(case=("site s1 nodes=1 power=1\nsite s2 nodes=1 power=1\n"
+               "default_link bandwidth=10\nuser u1 quota=1\n"
+               "burst time=5 user=u1 site=s1 count=2 demand=2 procs=1 "
+               "data_site=s1\nfault crash s1 1\nfault register s1 20\n",
+               None))
 # Each record fault lands in few drawn examples, so each has one here.
 @example(case=("site s1 nodes=1 power=1\nsite s2 nodes=1 power=1\n"
                "link s1 s2 bandwidth=10\nlink s2 s1 bandwidth=10\n",

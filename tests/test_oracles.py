@@ -10,9 +10,15 @@ alone.
   rho / (2 mu (1 - rho)) (Kleinrock, *Queueing Systems, Vol. 1*, 1975).
   The run's `mean_queue_time` must fall within a batch-means confidence
   interval of it.
+- Little's law as an area identity (Little, "A proof for the queuing
+  formula L = lambda W", Operations Research 9(3), 1961): the number of
+  waiting jobs, integrated over time from the trace, equals the sum of
+  the jobs' `queue_time`.
 """
 
 import dataclasses
+import math
+import pathlib
 import random
 import statistics
 
@@ -21,6 +27,7 @@ import pytest
 from dianasched.baselines import QueueDiscipline, SchedulerKind
 from dianasched.core import JobKind, UserProfile
 from dianasched.engine import run_scenario
+from dianasched.presets import PRESETS
 from dianasched.report import jobs_rows
 from dianasched.scenario import BurstDef, Scenario, SiteDef, parse_scenario
 
@@ -104,3 +111,72 @@ def test_md1_mean_wait_meets_pollaczek_khinchine():
     # The interval is narrow enough to mean something: within 20% of the
     # expected wait (15% at this seed).
     assert half_width < 0.2 * expected
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+# Jobs submitted at s1 while it is down wait there, parked, until it
+# registers again; no scenario file parks a job.
+PARKED = """
+site s1 nodes=1 power=1
+site s2 nodes=1 power=1
+default_link bandwidth=100
+user u quota=1
+burst time=5 user=u site=s1 count=4 demand=10 procs=1 data_site=s1
+burst time=30 user=u site=s2 count=3 demand=10 procs=1 data_site=s2
+fault crash s1 1
+fault register s1 20
+"""
+
+LITTLE_CASES = {f"file:{p.name}": p.read_text()
+                for p in sorted(SCENARIOS.glob("*.txt"))}
+LITTLE_CASES.update({name: f"preset {name}\n" for name in PRESETS})
+LITTLE_CASES["parked"] = PARKED
+
+
+def waiting_area(trace):
+    """The number of waiting jobs integrated over time, summed over sites.
+
+    A job waits in a site's queue from its arrival (a place or migrate
+    event's time plus its transfer) until it is allocated or picked for
+    export there, and parked at a crashed site from its submission until
+    the site registers again and places it.
+    """
+    changes = {}  # site -> [(time, +1 or -1)]
+    crashed, parked = set(), {}  # parked: job -> site
+    for event in trace:
+        kind, t = event["kind"], event["t"]
+        if kind == "crash":
+            crashed.add(event["site"])
+        elif kind == "peer_registered":
+            crashed.discard(event["site"])
+        elif kind == "submit" and event["site"] in crashed:
+            parked[event["job"]] = event["site"]
+            changes.setdefault(event["site"], []).append((t, 1))
+        elif kind in ("place", "migrate"):
+            if event["job"] in parked:
+                changes[parked.pop(event["job"])].append((t, -1))
+            changes.setdefault(event["dest"], []).append(
+                (t + event["transfer"], 1))
+        elif kind in ("allocate", "migration_pick"):
+            site = event["site" if kind == "allocate" else "source"]
+            changes[site].append((t, -1))
+    area = []
+    for site_changes in changes.values():
+        waiting, last = 0, 0.0
+        for t, delta in sorted(site_changes):
+            area.append(waiting * (t - last))
+            waiting, last = waiting + delta, t
+        assert waiting == 0
+    assert not parked
+    return math.fsum(area)
+
+
+@pytest.mark.parametrize("name", sorted(LITTLE_CASES))
+def test_waiting_area_is_the_sum_of_queue_times(name):
+    result = run_scenario(parse_scenario(LITTLE_CASES[name]), seed=42)
+    # Every job starts, so no wait is left open at the end.
+    assert all(job.started is not None for job in result.records())
+    total = math.fsum(job.queue_time for job in result.records())
+    assert total > 0
+    assert waiting_area(result.trace) == pytest.approx(total, rel=1e-9)

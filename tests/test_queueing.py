@@ -124,14 +124,15 @@ class TestMultilevelQueue:
         with pytest.raises(KeyError):
             q.enqueue(mk_job(user="ghost"))
 
-    def test_remove_returns_job_and_reprioritizes(self):
+    def test_remove_takes_the_job_and_reprioritizes(self):
         users = mk_users(a=2.0, b=1.0)
         q = MultilevelQueue(users)
-        q.enqueue(mk_job(job_id="j1", user="a"))
-        q.enqueue(mk_job(job_id="j2", user="a"))
-        q.enqueue(mk_job(job_id="j3", user="b"))
-        removed = q.remove("j2")
-        assert removed.job_id == "j2"
+        jobs = [mk_job(job_id="j1", user="a"), mk_job(job_id="j2", user="a"),
+                mk_job(job_id="j3", user="b")]
+        for job in jobs:
+            q.enqueue(job)
+        q.remove(jobs[1])
+        assert list(q.jobs) == ["j1", "j3"]
         assert priorities(q) == pytest.approx(
             scratch_priorities(users, list(q.jobs.values())))
 
@@ -165,8 +166,10 @@ class TestQueueViews:
         q = _one_job_per_user(a=9.0, b=4.0, c=2.0, d=1.0)
         assert list(priorities(q).values()) == pytest.approx(
             [5 / 9, 0.0, -0.5, -0.75])
-        assert q.migration_candidates(batch_size=1, cutoff=0.0) == ["j3"]
-        assert q.migration_candidates(batch_size=10, cutoff=0.0) == ["j3", "j2"]
+        assert [j.job_id for j in q.migration_candidates(
+            batch_size=1, cutoff=0.0)] == ["j3"]
+        assert [j.job_id for j in q.migration_candidates(
+            batch_size=10, cutoff=0.0)] == ["j3", "j2"]
 
     def test_no_candidates_when_all_nonnegative(self):
         q = _one_job_per_user(a=1.0, b=1.0, c=1.0)
@@ -180,7 +183,8 @@ class TestQueueViews:
         q = _one_job_per_user(a=1.0)
         assert priorities(q) == {"j0": 0.0}
         assert q.migration_candidates(batch_size=10, cutoff=0.0) == []
-        assert q.migration_candidates(batch_size=10, cutoff=0.1) == ["j0"]
+        assert [j.job_id for j in q.migration_candidates(
+            batch_size=10, cutoff=0.1)] == ["j0"]
 
 
 class TestDisciplines:
@@ -193,7 +197,7 @@ class TestDisciplines:
         q = MultilevelQueue(mk_users(u1=1.0), discipline=QueueDiscipline.FCFS)
         for job in self._jobs():
             q.enqueue(job)
-        q.remove("wide")
+        q.remove(q.jobs["wide"])
         assert [j.job_id for j in q.ordered()] == ["late", "early"]
 
     @pytest.mark.parametrize("discipline", [QueueDiscipline.SJF,
@@ -232,7 +236,7 @@ class TestQueueOracle:
             if live and data.draw(st.booleans()) and data.draw(st.booleans()):
                 victim = data.draw(st.sampled_from(live))
                 live.remove(victim)
-                q.remove(victim)
+                q.remove(q.jobs[victim])
             else:
                 job = mk_job(job_id=f"j{i}",
                              user=data.draw(st.sampled_from(sorted(users))),
@@ -280,7 +284,7 @@ class TestServiceOrderOracle:
     def full_sort(q, arrivals):
         if q.discipline is QueueDiscipline.PRIORITY_MULTIQUEUE:
             return sorted(q.jobs.values(), key=lambda j: (
-                -q.priority_of(j.job_id), j.submit_time, j.job_id))
+                -q.priority_of(j), j.submit_time, j.job_id))
         if q.discipline is QueueDiscipline.SJF:
             return sjf_order(q.jobs.values())
         return [q.jobs[job_id] for job_id in arrivals]
@@ -296,7 +300,9 @@ class TestServiceOrderOracle:
             if op == "remove" and arrivals:
                 victim = data.draw(st.sampled_from(arrivals))
                 arrivals.remove(victim)
-                gone.append(q.remove(victim))
+                job = q.jobs[victim]
+                q.remove(job)
+                gone.append(job)
             elif op == "again" and gone:
                 job = gone.pop(data.draw(st.integers(0, len(gone) - 1)))
                 q.enqueue(job)
@@ -321,11 +327,11 @@ class TestServiceOrderOracle:
                 scratch_priorities(users, list(q.jobs.values())))
             batch = data.draw(st.integers(1, 5))
             cutoff = data.draw(st.sampled_from([-0.5, 0.0, 0.25, 1.5]))
-            worst_first = [j.job_id for j in reversed(expect)
-                           if q.priority_of(j.job_id) < cutoff]
+            worst_first = [j for j in reversed(expect)
+                           if q.priority_of(j) < cutoff]
             assert q.migration_candidates(batch, cutoff) == worst_first[:batch]
             assert q.jobs_ahead(cutoff) == sum(
-                1 for j in expect if q.priority_of(j.job_id) > cutoff)
+                1 for j in expect if q.priority_of(j) > cutoff)
 
 
 class TestCongestion:
