@@ -116,26 +116,6 @@ class NetworkLink:
                            self.bandwidth * (1.0 - self.background_load))
 
 
-class RateEstimator:
-    """Exponentially weighted moving average of an event rate.
-
-    Updated once per measurement window with the count of events observed
-    in that window; robust to burst arrivals (no per-event intervals).
-    """
-
-    def __init__(self, alpha: float = 0.2):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.value = 0.0
-
-    def update(self, count: int, window: float) -> float:
-        if window <= 0:
-            raise ValueError("window must be > 0")
-        self.value = self.alpha * (count / window) + (1 - self.alpha) * self.value
-        return self.value
-
-
 class UnreachableSiteError(Exception):
     """No network path exists between two distinct sites."""
 

@@ -22,8 +22,8 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
-from .core import (Job, JobKind, JobStatus, RateEstimator, Topology,
-                   UnreachableSiteError, UserProfile)
+from .core import (Job, JobKind, JobStatus, Topology, UnreachableSiteError,
+                   UserProfile)
 from .costs import transfer_cost
 from .discovery import PeerRegistry
 from .queueing import MultilevelQueue, congestion_ratio, is_congested
@@ -175,7 +175,8 @@ class SiteRuntime:
 
     The cost model reads it directly as the local candidate: it has the
     site_id, node_count, node_power, service_rate and backlog that a
-    PeerSnapshot reports for a peer.
+    PeerSnapshot reports for a peer.  Each rate tick folds the window
+    counts into arrival_rate and service_rate, then clears them.
     """
 
     def __init__(self, sdef: SiteDef, index: int, scenario: Scenario,
@@ -191,15 +192,11 @@ class SiteRuntime:
         self.parked: List[Job] = []  # submitted while crashed
         self.snapshots: Dict[str, PeerSnapshot] = {}
         self.last_poll: Optional[float] = None
-        self.arr_est = RateEstimator(scenario.alpha)
-        self.svc_est = RateEstimator(scenario.alpha)
-        self.arrivals_window = 0
+        self.arrivals_window = 0  # submits since the last rate tick
         self.completions_window = 0
+        self.arrival_rate = 0.0  # jobs/s, smoothed over the rate ticks
+        self.service_rate = 0.0
         self.busy_node_seconds = 0.0
-
-    @property
-    def service_rate(self) -> float:
-        return self.svc_est.value
 
     @property
     def backlog(self) -> int:
@@ -567,8 +564,9 @@ class Simulation:
 
     def _on_rate_tick(self) -> None:
         window = self.scenario.rate_interval
-        # Only DIANA reads the estimators and windows: its polls, costs
-        # and congestion check.  The tick itself still runs under every
+        alpha = self.scenario.alpha
+        # Only DIANA reads the rates and windows: its polls, costs and
+        # congestion check.  The tick itself still runs under every
         # scheduler, since its idle count ends the run.
         if self.scenario.scheduler is SchedulerKind.DIANA:
             for sid in self.site_order:
@@ -577,8 +575,10 @@ class Simulation:
                     site.arrivals_window = 0
                     site.completions_window = 0
                     continue
-                site.arr_est.update(site.arrivals_window, window)
-                site.svc_est.update(site.completions_window, window)
+                site.arrival_rate = (alpha * (site.arrivals_window / window)
+                                     + (1 - alpha) * site.arrival_rate)
+                site.service_rate = (alpha * (site.completions_window / window)
+                                     + (1 - alpha) * site.service_rate)
                 site.arrivals_window = 0
                 site.completions_window = 0
                 self._check_congestion(site)
@@ -591,7 +591,7 @@ class Simulation:
         # scheduler, which Scenario checks when it is constructed.
         if self.scenario.queue is not QueueDiscipline.PRIORITY_MULTIQUEUE:
             return
-        ratio = congestion_ratio(site.arr_est.value, site.service_rate)
+        ratio = congestion_ratio(site.arrival_rate, site.service_rate)
         if not is_congested(ratio, self.scenario.thrs) or not len(site.queue):
             return
         picks = site.queue.migration_candidates(self.scenario.batch_size,
@@ -623,10 +623,11 @@ class Simulation:
             self._send(job, target, migration=True)
 
     def _on_echo_tick(self) -> None:
-        responder = lambda sid: not self.sites[sid].crashed
-        alive = self.registry.list_peers()
-        for sid in alive:
-            self.messages += 2 if responder(sid) else 1
+        def responder(sid: str) -> bool:
+            answers = not self.sites[sid].crashed
+            self.messages += 2 if answers else 1  # the echo, and any reply
+            return answers
+
         removed = self.registry.echo_sweep(responder)
         # Discovery pushes each removal to the surviving sites so none
         # keeps exporting to a dead peer on a stale snapshot.

@@ -149,9 +149,9 @@ class MultilevelQueue:
                       members[0].job_id, members[0])
                      for cls, members in self._classes.items()]
             return [min(heads)[3]] if heads else []
-        # Lists, not generators: `merge(*generator)` sizes its argument
-        # tuple by resizing, which bypasses the tuple free lists and
-        # leaves them fuller, raising the heap peak of a long run.
+        # More than the head: no run takes this path, since the engine
+        # asks only for ordered(1); it serves callers that want a longer
+        # prefix, such as the tests' service-order oracle.
         runs = [zip(repeat(cls[1] if sjf else -prios[cls]), members)
                 for cls, members in self._classes.items()]
         merged = heapq.merge(*runs, key=_service_order)

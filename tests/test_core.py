@@ -2,8 +2,8 @@
 
 import pytest
 
-from dianasched.core import (NetworkLink, RateEstimator, Topology,
-                             UnreachableSiteError, UserProfile)
+from dianasched.core import (NetworkLink, Topology, UnreachableSiteError,
+                             UserProfile)
 from conftest import mk_job
 
 
@@ -68,35 +68,6 @@ class TestUserProfile:
     def test_rejects_bad_quota(self, quota):
         with pytest.raises(ValueError, match="quota must be finite and > 0"):
             UserProfile("u", quota)
-
-
-class TestRateEstimator:
-    def test_first_update_from_zero(self):
-        est = RateEstimator(alpha=0.2)
-        assert est.update(10, 10.0) == pytest.approx(0.2)
-
-    def test_smoothing_sequence(self):
-        est = RateEstimator(alpha=0.5)
-        est.value = 1.0
-        est.update(0, 1.0)
-        assert est.value == pytest.approx(0.5)
-        est.update(2, 1.0)
-        assert est.value == pytest.approx(1.25)
-
-    def test_alpha_one_tracks_instantaneous_rate(self):
-        est = RateEstimator(alpha=1.0)
-        est.value = 7.0
-        assert est.update(3, 2.0) == pytest.approx(1.5)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            RateEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            RateEstimator(alpha=1.5)
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            RateEstimator().update(1, 0.0)
 
 
 class TestTopology:

@@ -468,8 +468,75 @@ class TestRateEstimators:
         sim = Simulation(s, seed=42)
         assert sim.run().count(JobStatus.COMPLETED) == 1000
         rates = [value for site in sim.sites.values()
-                 for value in (site.arr_est.value, site.svc_est.value)]
+                 for value in (site.arrival_rate, site.service_rate)]
         assert any(rates) is updated
+
+    # Two one-node sites that never export (thrs 1); s2 is down from 25
+    # to 45, across the ticks at 30 and 40.  j00006 completes on s2 at 27
+    # and j00008 is submitted there at 32.5, both while it is down.  No
+    # submit or completion falls on a tick, and j00011 is still running
+    # at every cap, so a tick runs every 10 s up to the cap.
+    RATES_TEXT = """\
+site s1 nodes=1 power=1
+site s2 nodes=1 power=1
+default_link bandwidth=1000
+user a quota=1
+thrs 1
+alpha 0.25
+rate_interval 10
+fault crash s2 25
+fault register s2 45
+burst time=1.5 user=a site=s1 count=3 demand=2.5 procs=1 data_site=s1
+burst time=3.5 user=a site=s2 count=2 demand=4.25 procs=1 data_site=s2
+burst time=21.5 user=a site=s2 count=2 demand=5.5 procs=1 data_site=s2
+burst time=32.5 user=a site=s2 count=1 demand=1.25 procs=1 data_site=s2
+burst time=41.5 user=a site=s1 count=2 demand=2.75 procs=1 data_site=s1
+burst time=51.5 user=a site=s1 count=1 demand=100 procs=1 data_site=s1
+"""
+
+    def test_rates_are_the_ewma_of_each_window(self):
+        # Each tick, per site, rate <- alpha*(count/window) + (1-alpha)*rate,
+        # counting the window's submits at the submit site for the arrival
+        # rate and its completions at the executing site for the service
+        # rate.  A site that is down at a tick keeps its rates and drops
+        # the window's counts.
+        alpha, window = 0.25, 10.0
+        down_rates = set()
+        for cap in (15, 25, 35, 45, 55, 65):
+            sim = Simulation(parse_scenario(self.RATES_TEXT
+                                            + f"duration_cap {cap}\n"), seed=1)
+            trace = sim.run().trace
+            ticks = [window * k for k in range(1, cap // 10 + 1)]
+            assert not [e for e in trace if e["t"] in ticks
+                        and e["kind"] in ("submit", "completed")]
+            for sid, site in sim.sites.items():
+                arrival = service = 0.0
+                for tick in ticks:
+                    faults = [e["kind"] for e in trace if e.get("site") == sid
+                              and e["kind"] in ("crash", "peer_registered")
+                              and e["t"] < tick]
+                    if faults and faults[-1] == "crash":
+                        continue
+
+                    def count(kind):
+                        return sum(1 for e in trace if e["kind"] == kind
+                                   and e["site"] == sid
+                                   and tick - window < e["t"] < tick)
+
+                    arrival = (alpha * (count("submit") / window)
+                               + (1 - alpha) * arrival)
+                    service = (alpha * (count("completed") / window)
+                               + (1 - alpha) * service)
+                assert (site.arrival_rate, site.service_rate) == (
+                    arrival, service), (cap, sid)
+            if cap in (25, 35, 45):
+                down_rates.add((sim.sites["s2"].arrival_rate,
+                                sim.sites["s2"].service_rate))
+        # s2's rates, nonzero, hold from its last tick before the crash
+        # until it is back, though it had a completion and a submit then.
+        assert len(down_rates) == 1 and all(down_rates.pop())
+        assert {(e["t"], e["kind"]) for e in trace if e.get("site") == "s2"
+                and 25 < e["t"] < 45} == {(27.0, "completed"), (32.5, "submit")}
 
 
 class TestAllocationIsFinal:

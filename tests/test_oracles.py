@@ -5,10 +5,12 @@ alone.
   each job to it, so `diana`, `round_robin` and `flop_greedy` give the
   same jobs.csv rows under `fcfs` and under `sjf`.  Only the messages
   each one spends to decide differ.
-- M/D/1: one FCFS node fed by Poisson arrivals of jobs of one fixed
-  size is the M/D/1 queue, whose mean wait is Pollaczek–Khinchine's
-  rho / (2 mu (1 - rho)) (Kleinrock, *Queueing Systems, Vol. 1*, 1975).
-  The run's `mean_queue_time` must fall within a batch-means confidence
+- M/D/1 and M/M/c: one FCFS node fed by Poisson arrivals of jobs of
+  one fixed size is the M/D/1 queue, whose mean wait is
+  Pollaczek–Khinchine's rho / (2 mu (1 - rho)); c nodes fed jobs of
+  exponentially distributed size are the M/M/c queue, whose mean wait
+  is Erlang C's (Kleinrock, *Queueing Systems, Vol. 1*, 1975).  The
+  run's `mean_queue_time` must fall within a batch-means confidence
   interval of it.
 - Little's law as an area identity (Little, "A proof for the queuing
   formula L = lambda W", Operations Research 9(3), 1961): the number of
@@ -75,42 +77,73 @@ def test_one_site_gives_every_scheduler_the_same_jobs(queue):
 # freedom.
 BATCHES = 20
 T_99 = 2.861
+JOBS = 20_000
+
+
+def _poisson_mean_wait(lam, nodes, demand):
+    """Run JOBS Poisson arrivals at rate `lam` through one FCFS site of
+    `nodes` 1 MFLOPS nodes, each job's demand in MFLOP (its service time
+    in s) drawn by `demand(rng)`, and return the mean wait and the
+    half-width of its 99% batch-means interval."""
+    rng = random.Random(2024)
+    t, bursts = 0.0, []
+    for _ in range(JOBS):
+        t += rng.expovariate(lam)
+        bursts.append(BurstDef(time=t, user="u", site="s1", count=1,
+                               demand=demand(rng), procs=1, data=0.0,
+                               data_site="s1", kind=JobKind.COMPUTE_INTENSIVE))
+    scenario = Scenario(scheduler=SchedulerKind.ROUND_ROBIN,
+                        queue=QueueDiscipline.FCFS,
+                        sites=[SiteDef("s1", nodes, 1.0)],
+                        users=[UserProfile("u", 1.0)], bursts=bursts)
+    result = run_scenario(scenario, seed=0)
+    summary = result.summary()
+    assert summary["completed"] == JOBS
+    # Waits of successive jobs are correlated, so the interval comes from
+    # the means of BATCHES consecutive batches of 1,000 jobs, each 476 s
+    # (at 2.1 jobs/s) to 1,429 s (at 0.7) long, far beyond the queues'
+    # relaxation times of about 40 s or less.
+    waits = [job.queue_time for job in result.records()]
+    size = JOBS // BATCHES
+    means = [statistics.fmean(waits[i:i + size])
+             for i in range(0, JOBS, size)]
+    mean = summary["mean_queue_time"]
+    assert mean == pytest.approx(statistics.fmean(means), rel=1e-12)
+    return mean, T_99 * statistics.stdev(means) / BATCHES ** 0.5
 
 
 def test_md1_mean_wait_meets_pollaczek_khinchine():
     # Arrival rate 0.7/s; each job is 1 MFLOP on a 1 MFLOPS node, so the
     # service time is exactly 1 s (mu = 1) and rho = 0.7.
-    lam, mu, jobs = 0.7, 1.0, 20_000
-    rng = random.Random(2024)
-    t, bursts = 0.0, []
-    for _ in range(jobs):
-        t += rng.expovariate(lam)
-        bursts.append(BurstDef(time=t, user="u", site="s1", count=1,
-                               demand=1.0, procs=1, data=0.0, data_site="s1",
-                               kind=JobKind.COMPUTE_INTENSIVE))
-    scenario = Scenario(scheduler=SchedulerKind.ROUND_ROBIN,
-                        queue=QueueDiscipline.FCFS,
-                        sites=[SiteDef("s1", 1, 1.0)],
-                        users=[UserProfile("u", 1.0)], bursts=bursts)
-    result = run_scenario(scenario, seed=0)
-    summary = result.summary()
-    assert summary["completed"] == jobs
-    # Waits of successive jobs are correlated, so the interval comes from
-    # the means of BATCHES consecutive batches, each about 1,400 s long,
-    # far beyond the queue's relaxation time of about 40 s.
-    waits = [job.queue_time for job in result.records()]
-    size = jobs // BATCHES
-    means = [statistics.fmean(waits[i:i + size])
-             for i in range(0, jobs, size)]
-    mean = summary["mean_queue_time"]
-    assert mean == pytest.approx(statistics.fmean(means), rel=1e-12)
-    half_width = T_99 * statistics.stdev(means) / BATCHES ** 0.5
+    lam, mu = 0.7, 1.0
+    mean, half_width = _poisson_mean_wait(lam, 1, lambda rng: 1.0)
     rho = lam / mu
     expected = rho / (2 * mu * (1 - rho))
     assert abs(mean - expected) <= half_width
     # The interval is narrow enough to mean something: within 20% of the
     # expected wait (15% at this seed).
     assert half_width < 0.2 * expected
+
+
+@pytest.mark.parametrize("nodes,lam", [(1, 0.7), (3, 2.1)])
+def test_mmc_mean_wait_meets_erlang_c(nodes, lam):
+    # Service times are exponential with mean 1 s (mu = 1), and each
+    # case loads its nodes to rho = 0.7.  Erlang C gives the chance that
+    # a job waits; its mean wait is that over c*mu - lambda: 2.333 s for
+    # one node (rho / (mu - lambda)), 0.547 s for three.
+    mu = 1.0
+    mean, half_width = _poisson_mean_wait(lam, nodes,
+                                          lambda rng: rng.expovariate(mu))
+    a = lam / mu
+    queued = a ** nodes / math.factorial(nodes) / (1 - a / nodes)
+    p_wait = queued / (sum(a ** k / math.factorial(k)
+                           for k in range(nodes)) + queued)
+    expected = p_wait / (nodes * mu - lam)
+    assert abs(mean - expected) <= half_width
+    # Exponential service spreads the waits, so the interval is wider
+    # than M/D/1's: within 25% of the expected wait (12% for one
+    # node and 16% for three at this seed).
+    assert half_width < 0.25 * expected
 
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"

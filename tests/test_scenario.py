@@ -32,7 +32,9 @@ burst time=0 user=alice site=s1 count=1 demand=5 procs=1 data_site=s1
 FLOAT_KEYS = [k for k, parse in _SETTINGS.items() if parse is float]
 OUT_OF_RANGE = ["thrs 1.5", "thrs -0.1", "batch_size 0", "echo_interval 0",
                 "echo_retries 0", "b_ref -1", "b_ref 0", "alpha 0",
-                "alpha 1.5", "duration_cap -3", "site_count -4"]
+                "alpha 1.5", "duration_cap -3", "site_count -4",
+                "rate_interval 0", "rate_interval -1", "poll_interval 0",
+                "poll_interval -5"]
 OUT_OF_RANGE += [f"{key} {value}" for key in FLOAT_KEYS
                  for value in ("nan", "inf", "-inf")
                  if f"{key} {value}" not in OUT_OF_RANGE]
