@@ -25,8 +25,6 @@ class QueueDiscipline(str, Enum):
 
 def rr_schedule(sites: Sequence[str], cursor: int) -> Tuple[str, int]:
     """Next site in cyclic order; returns (site, advanced cursor)."""
-    if not sites:
-        raise ValueError("site list must be nonempty")
     return sites[cursor % len(sites)], (cursor + 1) % len(sites)
 
 
@@ -37,7 +35,5 @@ def flop_schedule(sites: Sequence) -> str:
     node_power and idle_nodes.  Ties break to the lexically smallest
     site id.
     """
-    if not sites:
-        raise ValueError("site list must be nonempty")
     best = min(sites, key=lambda s: (-(s.node_power * s.idle_nodes), s.site_id))
     return best.site_id

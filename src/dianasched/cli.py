@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .core import JobStatus
 from .engine import SimulationError, run_scenario
 from .report import (SWEEP_AXES, CompareError, compare, read_summaries,
                      run_sweep, write_run)
@@ -50,9 +51,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             result = run_scenario(_load_scenario(args.scenario), args.seed)
             paths = write_run(result, args.out)
-            summary = result.summary()
-            print(f"completed {summary['completed']}/{summary['submitted']} jobs, "
-                  f"{summary['message_count']} messages")
+            print(f"completed {result.count(JobStatus.COMPLETED)}/"
+                  f"{len(result.jobs)} jobs, {result.messages} messages")
             print(f"wrote {paths['jobs']} and {paths['summary']}")
         elif args.command == "sweep":
             values = [v for v in args.values.split(",") if v]

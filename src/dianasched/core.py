@@ -56,14 +56,6 @@ class Job:
     transfer_total: float = field(default=0.0, init=False)
     migrations: int = field(default=0, init=False)
 
-    def __post_init__(self):
-        if self.processors_required < 1:
-            raise ValueError(f"job {self.job_id}: processors_required must be >= 1")
-        if self.compute_demand < 0:
-            raise ValueError(f"job {self.job_id}: compute_demand must be >= 0")
-        if self.data_size < 0:
-            raise ValueError(f"job {self.job_id}: data_size must be >= 0")
-
     @property
     def spec(self) -> "Job":
         """The job itself, whose spec fields are its own: for callers

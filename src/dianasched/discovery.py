@@ -19,8 +19,6 @@ class PeerRegistry:
     """
 
     def __init__(self, retries: int = 1):
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
         self.retries = retries
         self._missed: Dict[str, int] = {}  # alive peer -> missed echoes
 

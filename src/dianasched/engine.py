@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .baselines import QueueDiscipline, SchedulerKind, flop_schedule, rr_schedule
 from .core import (Job, JobKind, JobStatus, Topology, UnreachableSiteError,
                    UserProfile)
-from .costs import transfer_cost
+from .costs import PRESET_WEIGHTS, transfer_cost
 from .discovery import PeerRegistry
 from .queueing import MultilevelQueue, congestion_ratio, is_congested
 from .scenario import Scenario, SiteDef
@@ -175,8 +175,10 @@ class SiteRuntime:
 
     The cost model reads it directly as the local candidate: it has the
     site_id, node_count, node_power, service_rate and backlog that a
-    PeerSnapshot reports for a peer.  Each rate tick folds the window
-    counts into arrival_rate and service_rate, then clears them.
+    PeerSnapshot reports for a peer.  Under DIANA, the only reader, each
+    rate tick folds the window counts into arrival_rate and service_rate,
+    then clears them.  Under the baselines the windows count every job
+    and nothing reads them: clearing them there slows a run.
     """
 
     def __init__(self, sdef: SiteDef, index: int, scenario: Scenario,
@@ -276,8 +278,7 @@ class RunResult:
         total_queue = sum(r.queue_time for r in done)
         total_transfer = sum(r.transfer_total for r in done)
         submitted = len(self.jobs)
-        mean_util = (sum(self.utilization.values()) / len(self.utilization)
-                     if self.utilization else 0.0)
+        mean_util = sum(self.utilization.values()) / len(self.utilization)
         out = {
             "scheduler": self.scenario.scheduler.value,
             "queue": self.scenario.queue.value,
@@ -318,6 +319,8 @@ class Simulation:
         self._heap: List[tuple] = []
         self.messages = 0
         self.users = {u.user_id: u for u in scenario.users}
+        # Each job kind's cost weights: the presets, then the overrides.
+        self.weights = {**PRESET_WEIGHTS, **scenario.weights}
         sdefs = scenario.resolved_sites()
         # For rate ticks, Round Robin and the log's site indices.
         self.site_order = sorted(sdef.site_id for sdef in sdefs)
@@ -446,7 +449,7 @@ class Simulation:
             try:
                 decision = schedule(job, site, peers, self.now, self.topology,
                                     b_ref=self.scenario.b_ref,
-                                    weight_overrides=self.scenario.weights)
+                                    weights=self.weights)
             except UnschedulableError:
                 self._terminal(job, JobStatus.REJECTED_UNSCHEDULABLE)
                 return

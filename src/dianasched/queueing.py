@@ -39,11 +39,10 @@ from .core import Job, UserProfile
 
 
 def priority(n: int, big_n: float) -> float:
-    """Two-branch priority rule; non-negative exactly when n <= N."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if big_n <= 0:
-        raise ValueError("N must be > 0")
+    """Two-branch priority rule; non-negative exactly when n <= N.
+
+    Needs n >= 1 and N > 0, which the queue meets: it asks only for a
+    queued class, whose user's quota is > 0 and whose T >= t >= 1."""
     if n <= big_n:
         return (big_n - n) / big_n
     return (big_n - n) / n
@@ -82,8 +81,6 @@ class MultilevelQueue:
         """Add a job and reprioritize."""
         if job.job_id in self.jobs:
             raise DuplicateJobError(job.job_id)
-        if job.user_id not in self.users:
-            raise KeyError(f"unknown user {job.user_id}")
         self.jobs[job.job_id] = job
         # Inserted in place: transfers and migrations deliver jobs out of
         # submit order.

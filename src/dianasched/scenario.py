@@ -2,10 +2,11 @@
 
 The format is line-oriented: one `key value` or record line per
 statement, `#` comments, blank lines ignored.  See docs/scenario-format.md
-for the full grammar.  Unknown keys are rejected.  Each record type
-checks its own values when it is constructed, and Scenario checks the
-rules that relate records and settings to each other when it is
-constructed, so the parser only converts text.  Every error names its
+for the full grammar.  Unknown keys are rejected.  Inputs are checked
+once, here: each record type checks its own values when it is
+constructed, and Scenario its settings and the rules that relate records
+to each other, so the parser only converts text.  Behind them the engine
+checks only its own invariants and float overflow.  Every error names its
 line: the parser prefixes the line of the statement it is reading, or
 the lines of the records and settings a Scenario error is about.  Only
 a file that declares no site gets an error without a line.  A statement
@@ -176,8 +177,17 @@ class Scenario:
         for name in _RECORDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-        for key in _SETTINGS:
-            _check_setting(key, getattr(self, key))
+        for key, kind in _SETTINGS.items():
+            # Its default's type (an int passes as a float, a bool as
+            # none), and within its range.
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ScenarioError(f"{key} must be of type {kind.__name__}, got {value!r}", key)
+            if key in _SETTING_RANGES:
+                test, rule = _SETTING_RANGES[key]
+                if not (math.isfinite(value) and test(value)):
+                    raise ScenarioError(f"{key} must be {rule}, got {value!r}", key)
         if self.site_count and self.site_template is None:
             raise ScenarioError("site_count needs a site_template", "site_count")
         if not (sites := self.resolved_sites()):
@@ -249,19 +259,6 @@ _SETTING_RANGES = {
     "duration_cap": (lambda v: v >= 0, "finite and >= 0"),
     "site_count": (lambda v: 0 <= v <= MAX_SITES, f"in [0, {MAX_SITES}]"),
 }
-
-
-def _check_setting(key: str, value) -> None:
-    """Raise ScenarioError unless `value` has its setting's type (an int
-    passes as a float, a bool as none) and is in its range."""
-    kind = _SETTINGS[key]
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float) if kind is float else kind):
-        raise ScenarioError(f"{key} must be of type {kind.__name__}, got {value!r}", key)
-    if key in _SETTING_RANGES:
-        test, rule = _SETTING_RANGES[key]
-        if not (math.isfinite(value) and test(value)):
-            raise ScenarioError(f"{key} must be {rule}, got {value!r}", key)
 
 
 # Each scalar setting, by name, with its default's type, which its value
@@ -394,7 +391,6 @@ def parse_scenario(text: str) -> Scenario:
                 if len(args) != 1:
                     raise ScenarioError(f"{key} takes one value")
                 kw[key] = _SETTINGS[key](args[0])
-                _check_setting(key, kw[key])
             elif key == "weights":
                 if len(args) != 4:
                     raise ScenarioError("weights takes kind wc wd wn")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Job, Topology, UnreachableSiteError
-from .costs import (CostWeights, PRESET_WEIGHTS, REFERENCE_BANDWIDTH,
-                    UNIT_WEIGHTS, total_cost)
+from .costs import PRESET_WEIGHTS, REFERENCE_BANDWIDTH, UNIT_WEIGHTS, total_cost
 
 
 class UnschedulableError(Exception):
@@ -54,16 +53,9 @@ class SchedulingDecision:
     alternatives: List[Tuple[str, float]]  # (site, total), best first
 
 
-def classify(job: Job, overrides=None) -> CostWeights:
-    """Weights for the job's declared kind; the tag is authoritative."""
-    if overrides and job.kind in overrides:
-        return overrides[job.kind]
-    return PRESET_WEIGHTS[job.kind]
-
-
 def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
              topology: Topology, b_ref: float = REFERENCE_BANDWIDTH,
-             weight_overrides=None) -> SchedulingDecision:
+             weights=PRESET_WEIGHTS) -> SchedulingDecision:
     """Choose the minimum aggregate-cost site for a first-time job.
 
     Candidates are the local site (the engine's SiteRuntime, at its
@@ -73,8 +65,9 @@ def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
     lexical site id).  Raises UnschedulableError when no candidate owns
     enough nodes even when idle, and the UnreachableSiteError of the last
     `link_between` that failed when the data reaches none that does.
+    `weights` maps each job kind to its cost weights.
     """
-    weights = classify(job, weight_overrides)
+    kind_weights = weights[job.kind]
     need = job.processors_required
     data_site = job.data_site
     link_between = topology.link_between
@@ -91,7 +84,7 @@ def schedule(job: Job, local, peers: Sequence[PeerSnapshot], now: float,
         except UnreachableSiteError as exc:
             unreachable = exc
             continue
-        scored.append((total_cost(job, cand, backlog, link, weights, b_ref),
+        scored.append((total_cost(job, cand, backlog, link, kind_weights, b_ref),
                        backlog, cand.site_id))
     if not feasible:
         raise UnschedulableError(
@@ -128,11 +121,9 @@ def migrate_batch(batch: Sequence[Job], local,
     a peer's batch cost counts its aged queue plus the jobs sent there
     since the poll.  The batch stays local unless the best peer is
     strictly better than the local site on both criteria; unreachable or
-    too-small peers never win.  Returns the target site id, or None for
-    stay-local.
+    too-small peers never win.  `batch` is nonempty.  Returns the target
+    site id, or None for stay-local.
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
     need = max(j.processors_required for j in batch)
     local_backlog = local.backlog
     local_key = local_jobs_ahead + local_backlog

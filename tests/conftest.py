@@ -4,10 +4,10 @@ import heapq
 from dataclasses import dataclass
 
 from dianasched.core import Job, JobKind, UnreachableSiteError, UserProfile
-from dianasched.costs import (EPSILON, REFERENCE_BANDWIDTH, UNIT_WEIGHTS,
-                              transfer_cost)
+from dianasched.costs import (EPSILON, PRESET_WEIGHTS, REFERENCE_BANDWIDTH,
+                              UNIT_WEIGHTS, transfer_cost)
 from dianasched.engine import RunResult
-from dianasched.scheduler import PeerSnapshot, UnschedulableError, classify
+from dianasched.scheduler import PeerSnapshot, UnschedulableError
 
 
 def mk_job(job_id="j1", user="u1", demand=10.0, procs=1, data=0.0,
@@ -124,7 +124,7 @@ def aged_copy(snap, now):
 def reference_schedule(job, local, peers, now, topology,
                        b_ref=REFERENCE_BANDWIDTH, weight_overrides=None):
     """(chosen site, alternatives) over peers aged into sorted copies."""
-    weights = classify(job, weight_overrides)
+    weights = (weight_overrides or {}).get(job.kind, PRESET_WEIGHTS[job.kind])
     aged = [aged_copy(p, now) for p in sorted(peers, key=lambda p: p.site_id)]
     feasible = [c for c in [local] + aged
                 if job.processors_required <= c.node_count]

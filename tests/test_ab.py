@@ -38,9 +38,11 @@ def sides(ab):
 def test_one_round_of_the_working_tree_against_itself(ab, sides):
     base, change = sides
     assert base.engine is not change.engine
-    ratios = ab.compare(base, change, {"tiny": TINY}, seed=1, rounds=1)
+    ratios = ab.compare(base, change, {"tiny": TINY}, seed=1, rounds=2)
     assert list(ratios) == ["tiny"]
-    assert len(ratios["tiny"]) == 1 and ratios["tiny"][0] > 0
+    assert list(ratios["tiny"]) == ["setup", "run"]
+    for values in ratios["tiny"].values():
+        assert len(values) == 2 and all(r > 0 for r in values)
 
 
 def test_differing_outcomes_are_refused(ab, sides, monkeypatch):

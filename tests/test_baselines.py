@@ -41,10 +41,6 @@ class TestRoundRobin:
             site, _ = rr_schedule(["only"], cursor)
             assert site == "only"
 
-    def test_empty_site_list_rejected(self):
-        with pytest.raises(ValueError):
-            rr_schedule([], 0)
-
 
 class TestFlopGreedy:
     def test_picks_most_idle_capacity(self):

@@ -8,25 +8,14 @@ from conftest import mk_job
 
 
 class TestJobSpec:
-    """A Job's constructor checks its spec fields; that a run never
-    changes them is test_golden's test_run_writes_only_run_state."""
+    """A Job holds the spec fields it is given; `BurstDef` checks them
+    (test_scenario), and that a run never changes them is test_golden's
+    test_run_writes_only_run_state."""
 
     def test_valid_job(self):
         job = mk_job(demand=3.0, procs=2, data=1e9)
         assert job.compute_demand == 3.0
         assert job.processors_required == 2
-
-    def test_rejects_zero_processors(self):
-        with pytest.raises(ValueError, match="processors_required"):
-            mk_job(procs=0)
-
-    def test_rejects_negative_demand(self):
-        with pytest.raises(ValueError, match="compute_demand"):
-            mk_job(demand=-1.0)
-
-    def test_rejects_negative_data(self):
-        with pytest.raises(ValueError, match="data_size"):
-            mk_job(data=-5.0)
 
 
 class TestNetworkLink:

@@ -1,7 +1,5 @@
 """Peer registry lifecycle: register, deregister, echo sweeps."""
 
-import pytest
-
 from dianasched.discovery import PeerRegistry
 
 
@@ -118,8 +116,3 @@ class TestListPeers:
         reg.register("s2")
         assert reg.list_peers(requester="outsider") == ["s1", "s2"]
 
-
-class TestConfigValidation:
-    def test_retries_at_least_one(self):
-        with pytest.raises(ValueError):
-            PeerRegistry(retries=0)

@@ -210,6 +210,19 @@ class TestSchedulers:
         # Two messages per site per placement decision, plus echo traffic.
         assert result.messages >= 2 * 3 * 10
 
+    @pytest.mark.parametrize("weights, where", [
+        ("", "s2"), ("weights compute_intensive 0 1 1\n", "s1")])
+    def test_weights_line_changes_placement(self, weights, where):
+        # The presets send a compute-intensive job from slow s1, its data
+        # site, to ten-times-faster s2; weights that ignore compute keep
+        # it beside its data.
+        text = ("site s1 nodes=1 power=1\nsite s2 nodes=1 power=10\n"
+                "link s1 s2 bandwidth=100\nuser u quota=1\nthrs 1\n"
+                + weights + "burst time=0 user=u site=s1 count=1 demand=100 "
+                "procs=1 data=1e6 data_site=s1 kind=compute_intensive\n")
+        [job] = run_scenario(parse_scenario(text), seed=0).records()
+        assert job.exec_site == where
+
     def test_diana_poll_is_rate_limited(self):
         result = run_scenario(self._multi_site(
             SchedulerKind.DIANA, QueueDiscipline.PRIORITY_MULTIQUEUE), seed=0)

@@ -15,7 +15,9 @@ alone.
 - Little's law as an area identity (Little, "A proof for the queuing
   formula L = lambda W", Operations Research 9(3), 1961): the number of
   waiting jobs, integrated over time from the trace, equals the sum of
-  the jobs' `queue_time`.
+  the jobs' `queue_time`.  A run cut by `duration_cap` H leaves waits
+  open; integrated up to H, the area also counts H - submit -
+  `transfer_total` for each placed job not yet started.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ import statistics
 import pytest
 
 from dianasched.baselines import QueueDiscipline, SchedulerKind
-from dianasched.core import JobKind, UserProfile
+from dianasched.core import JobKind, JobStatus, UserProfile
 from dianasched.engine import run_scenario
 from dianasched.presets import PRESETS
 from dianasched.report import jobs_rows
@@ -167,13 +169,15 @@ LITTLE_CASES.update({name: f"preset {name}\n" for name in PRESETS})
 LITTLE_CASES["parked"] = PARKED
 
 
-def waiting_area(trace):
+def waiting_area(trace, horizon=None):
     """The number of waiting jobs integrated over time, summed over sites.
 
     A job waits in a site's queue from its arrival (a place or migrate
     event's time plus its transfer) until it is allocated or picked for
     export there, and parked at a crashed site from its submission until
-    the site registers again and places it.
+    the site registers again and places it.  Without a horizon every
+    wait must have ended; with one, the integral stops at it and closes
+    the waits still open there.
     """
     changes = {}  # site -> [(time, +1 or -1)]
     crashed, parked = set(), {}  # parked: job -> site
@@ -194,14 +198,20 @@ def waiting_area(trace):
         elif kind in ("allocate", "migration_pick"):
             site = event["site" if kind == "allocate" else "source"]
             changes[site].append((t, -1))
+    end = math.inf if horizon is None else horizon
     area = []
     for site_changes in changes.values():
         waiting, last = 0, 0.0
         for t, delta in sorted(site_changes):
+            t = min(t, end)
             area.append(waiting * (t - last))
             waiting, last = waiting + delta, t
-        assert waiting == 0
-    assert not parked
+        if horizon is None:
+            assert waiting == 0
+        else:
+            area.append(waiting * (horizon - last))
+    if horizon is None:
+        assert not parked
     return math.fsum(area)
 
 
@@ -213,3 +223,30 @@ def test_waiting_area_is_the_sum_of_queue_times(name):
     total = math.fsum(job.queue_time for job in result.records())
     assert total > 0
     assert waiting_area(result.trace) == pytest.approx(total, rel=1e-9)
+
+
+# Runs cut while jobs still wait.  P1 stages no data, so no job is in
+# transfer at the cap.
+OPEN_WAIT_CASES = {
+    "P1-diana": ("preset P1\nduration_cap 400\n", 6),
+    "P1-round_robin": ("preset P1\nscheduler round_robin\nqueue fcfs\n"
+                       "duration_cap 333\n", 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_WAIT_CASES))
+def test_waiting_area_counts_the_waits_open_at_the_cap(name):
+    text, open_count = OPEN_WAIT_CASES[name]
+    result = run_scenario(parse_scenario(text), seed=42)
+    cap = result.scenario.duration_cap
+    trace = result.trace
+    assert all(e["t"] + e["transfer"] <= cap for e in trace
+               if e["kind"] in ("place", "migrate"))
+    started = [job for job in result.records() if job.started is not None]
+    waiting = [job for job in result.records()
+               if job.status is JobStatus.PENDING and job.scheduled is not None]
+    assert len(waiting) == open_count
+    total = math.fsum([job.queue_time for job in started]
+                      + [cap - job.submit_time - job.transfer_total
+                         for job in waiting])
+    assert waiting_area(trace, horizon=cap) == pytest.approx(total, rel=1e-9)

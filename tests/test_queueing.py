@@ -46,12 +46,6 @@ class TestPriorityFormula:
     def test_over_threshold(self):
         assert priority(8, 5.0) == pytest.approx(-0.375)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            priority(0, 1.0)
-        with pytest.raises(ValueError):
-            priority(1, 0.0)
-
     @given(n=st.integers(1, 10**6),
            big_n=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False))
     def test_bounded(self, n, big_n):

@@ -8,7 +8,7 @@ from dianasched.core import (JobKind, NetworkLink, Topology,
                              UnreachableSiteError)
 from dianasched.costs import CostWeights, PRESET_WEIGHTS, UNIT_WEIGHTS, total_cost
 from dianasched.scheduler import (PeerSnapshot, SchedulingDecision,
-                                  UnschedulableError, batch_cost, classify,
+                                  UnschedulableError, batch_cost,
                                   migrate_batch, schedule)
 from conftest import (aged_copy, mk_job, mk_site, reference_migrate_batch,
                       reference_schedule, reference_total_cost)
@@ -24,18 +24,33 @@ def snap(site_id, nodes=5, power=1.0, queue=0, service=0.0, time=0.0,
 
 
 class TestClassify:
+    """`schedule` scores a job with its declared kind's weights."""
+
+    def _assert_scored_with(self, job, expected, weights=PRESET_WEIGHTS):
+        topo = Topology(default_link=NetworkLink("*", "*", 100.0, 1.0))
+        local, peer = mk_site("home"), snap("far")
+        decision = schedule(job, local, [peer], 0.0, topo, weights=weights)
+        assert dict(decision.alternatives) == {
+            cand.site_id: reference_total_cost(
+                job, aged_copy(cand, 0.0),
+                topo.link_between(job.data_site, cand.site_id), expected)
+            for cand in (local, peer)}
+
     def test_kind_selects_preset(self):
         for kind in JobKind:
-            assert classify(mk_job(kind=kind)) == PRESET_WEIGHTS[kind]
+            job = mk_job(kind=kind, data=GB, data_site="home")
+            self._assert_scored_with(job, PRESET_WEIGHTS[kind])
 
     def test_tag_overrides_actual_data_size(self):
         # A data-intensive job with no data still uses the data preset.
-        job = mk_job(kind=JobKind.DATA_INTENSIVE, data=0.0)
-        assert classify(job) == PRESET_WEIGHTS[JobKind.DATA_INTENSIVE]
+        job = mk_job(kind=JobKind.DATA_INTENSIVE, data=0.0, data_site="home")
+        self._assert_scored_with(job, PRESET_WEIGHTS[JobKind.DATA_INTENSIVE])
 
     def test_explicit_overrides_win(self):
-        override = {JobKind.MIXED: CostWeights(2, 0, 0)}
-        assert classify(mk_job(kind=JobKind.MIXED), override) == CostWeights(2, 0, 0)
+        override = CostWeights(2, 0, 0)
+        weights = {**PRESET_WEIGHTS, JobKind.MIXED: override}
+        job = mk_job(kind=JobKind.MIXED, data=GB, data_site="home")
+        self._assert_scored_with(job, override, weights)
 
 
 class TestSchedule:
@@ -61,7 +76,7 @@ class TestSchedule:
         assert decision.alternatives[0][1] == pytest.approx(40.0)
         # Agreement with a brute-force scan over the same candidates,
         # scored by the reference formulas in conftest.
-        weights = classify(job)
+        weights = PRESET_WEIGHTS[job.kind]
         totals = {}
         for cand in (local, peer_a, peer_b):
             link = topo.link_between(job.data_site, cand.site_id)
@@ -282,7 +297,7 @@ class TestAgainstReference:
     def test_schedule_matches_reference(self, case):
         got = _outcome(schedule, case["job"], case["local"], case["shuffled"],
                        case["now"], case["topology"], b_ref=case["b_ref"],
-                       weight_overrides=case["overrides"])
+                       weights={**PRESET_WEIGHTS, **(case["overrides"] or {})})
         want = _outcome(reference_schedule, case["job"], case["local"],
                         case["peers"], case["now"], case["topology"],
                         b_ref=case["b_ref"],

@@ -7,12 +7,13 @@ Extracts `src/` of the base revision with `git archive <rev> src | tar -x`
 into a temporary directory, and loads that copy and the working tree's
 `src/dianasched` into this one process as two packages.  For each
 workload of `bench/workloads.py` it first checks that both sides give
-the same `outcome_digest` (from `bench/run.py`).  It then times
-`parse_scenario` -> `Simulation(scenario, seed)` -> `run()` on each side
-for N rounds, alternating which side goes first.  A round runs the two
-sides in turn REPEATS times and takes each side's least time.  Per
-workload it prints the median and the least change/base ratio of those
-times, and the rounds the change won (a ratio below 1).
+the same `outcome_digest` (from `bench/run.py`).  It then times each
+side for N rounds, alternating which side goes first, in two parts:
+setup, `parse_scenario` -> `Simulation(scenario, seed)`, and run,
+`run()`.  A round runs the two sides in turn REPEATS times and takes
+each side's least setup time and least run time.  Per workload and part
+it prints the median and the least change/base ratio of those times,
+and the rounds the change won (a ratio below 1).
 
 Both sides run in the same process, moments apart, so a change of the
 host's speed from one process to the next does not enter the ratio.
@@ -78,18 +79,24 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src" / "dianasched"
 
 
+PARTS = ("setup", "run")
+
+
 def run_once(package: ModuleType, text: str, seed: int):
-    """One parse -> Simulation -> run(): (result, seconds)."""
+    """One parse -> Simulation -> run(): (result, setup seconds, run
+    seconds)."""
     gc.collect()
     t0 = time.perf_counter()
     sim = package.engine.Simulation(package.scenario.parse_scenario(text), seed)
+    t1 = time.perf_counter()
     result = sim.run()
-    return result, time.perf_counter() - t0
+    return result, t1 - t0, time.perf_counter() - t1
 
 
 def compare(base: ModuleType, change: ModuleType, texts: Dict[str, str],
-            seed: int, rounds: int) -> Dict[str, List[float]]:
-    """Per workload, the change/base time ratio of each round.
+            seed: int, rounds: int) -> Dict[str, Dict[str, List[float]]]:
+    """Per workload and part ("setup", "run"), the change/base time
+    ratio of each round.
 
     Raises SystemExit when the two sides' outcomes differ on a workload.
     """
@@ -99,14 +106,16 @@ def compare(base: ModuleType, change: ModuleType, texts: Dict[str, str],
                    for side in (base, change)}
         if len(digests) != 1:
             raise SystemExit(f"ab: {name}: base and change outcomes differ")
-        ratios[name] = []
+        ratios[name] = {part: [] for part in PARTS}
         for i in range(rounds):
             order = (base, change) if i % 2 == 0 else (change, base)
-            best = {base: float("inf"), change: float("inf")}
+            best = {side: [float("inf")] * len(PARTS) for side in order}
             for _ in range(REPEATS):
                 for side in order:
-                    best[side] = min(best[side], run_once(side, text, seed)[1])
-            ratios[name].append(best[change] / best[base])
+                    times = run_once(side, text, seed)[1:]
+                    best[side] = [min(b, t) for b, t in zip(best[side], times)]
+            for part, b, c in zip(PARTS, best[base], best[change]):
+                ratios[name][part].append(c / b)
     return ratios
 
 
@@ -129,10 +138,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                          args.seed, args.rounds)
     print(f"change/base time ratio, base {args.base}, {args.rounds} rounds, "
           f"least of {REPEATS} runs per side per round, seed {args.seed}")
-    for name, values in ratios.items():
-        won = sum(r < 1 for r in values)
-        print(f"{name:18} median {statistics.median(values):.3f}  "
-              f"min {min(values):.3f}  change won {won}/{len(values)}")
+    for name, parts in ratios.items():
+        print(f"{name:18}" + "  ".join(
+            f"  {part} median {statistics.median(values):.3f} "
+            f"min {min(values):.3f} won {sum(r < 1 for r in values)}/{len(values)}"
+            for part, values in parts.items()))
     return 0
 
 
